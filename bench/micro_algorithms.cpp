@@ -6,12 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <queue>
 #include <vector>
 
 #include "assign/layer_assign.hpp"
@@ -117,122 +114,10 @@ void BM_AStarRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_AStarRoute)->Arg(40)->Arg(120)->Arg(300);
 
-/// The pre-kernel global search, kept verbatim as the BM_GlobalSearch
-/// speedup baseline: per-call dist/parent vectors sized to the region, a
-/// std::priority_queue open list, psi recomputed with exp2 at every
-/// relaxation, and no pattern fast path.
-double legacy_psi(int demand, int capacity) {
-  if (capacity <= 0) return demand > 0 ? 1e9 : 0.0;
-  return std::exp2(static_cast<double>(demand) / capacity) - 1.0;
-}
-
-struct LegacyHeapEntry {
-  double f;
-  double g;
-  int state;
-  friend bool operator>(const LegacyHeapEntry& a, const LegacyHeapEntry& b) {
-    return a.f > b.f;
-  }
-};
-
-std::vector<grid::GCellId> legacy_global_search(
-    const global::RoutingGraph& graph, const global::GlobalSearchParams& params,
-    grid::GCellId from, grid::GCellId to, const geom::Rect& region,
-    std::int64_t* pops) {
-  constexpr int kDirStart = 0;
-  constexpr int kDirH = 1;
-  constexpr int kDirV = 2;
-  using HeapEntry = LegacyHeapEntry;
-  if (from == to) return {from};
-  const int w = region.width();
-  const auto in_region = [&](int tx, int ty) {
-    return tx >= region.xlo && tx <= region.xhi && ty >= region.ylo &&
-           ty <= region.yhi;
-  };
-  const auto state_of = [&](int tx, int ty, int dir) {
-    return ((ty - region.ylo) * w + (tx - region.xlo)) * 3 + dir;
-  };
-  const std::size_t num_states =
-      static_cast<std::size_t>(w) * region.height() * 3;
-  std::vector<double> dist(num_states, std::numeric_limits<double>::infinity());
-  std::vector<int> parent(num_states, -1);
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-  const auto heuristic = [&](int tx, int ty) {
-    return static_cast<double>(std::abs(tx - to.tx) + std::abs(ty - to.ty));
-  };
-  const int start = state_of(from.tx, from.ty, kDirStart);
-  dist[static_cast<std::size_t>(start)] = 0.0;
-  heap.push({heuristic(from.tx, from.ty), 0.0, start});
-  static constexpr int kDx[4] = {1, -1, 0, 0};
-  static constexpr int kDy[4] = {0, 0, 1, -1};
-  int goal_state = -1;
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    ++*pops;
-    if (top.g > dist[static_cast<std::size_t>(top.state)]) continue;
-    const int cell = top.state / 3;
-    const int dir = top.state % 3;
-    const int tx = region.xlo + cell % w;
-    const int ty = region.ylo + cell / w;
-    if (tx == to.tx && ty == to.ty) {
-      goal_state = top.state;
-      break;
-    }
-    for (int m = 0; m < 4; ++m) {
-      const int nx = tx + kDx[m];
-      const int ny = ty + kDy[m];
-      if (!in_region(nx, ny)) continue;
-      const bool horizontal = m < 2;
-      double step = 1.0;
-      if (horizontal)
-        step += legacy_psi(graph.h_demand(std::min(tx, nx), ty) + 1,
-                           graph.h_capacity(std::min(tx, nx), ty));
-      else
-        step += legacy_psi(graph.v_demand(tx, std::min(ty, ny)) + 1,
-                           graph.v_capacity(tx, std::min(ty, ny)));
-      if (dir != kDirStart && ((dir == kDirH) != horizontal))
-        step += params.turn_cost;
-      if (params.vertex_cost) {
-        if (!horizontal && dir != kDirV)
-          step += params.vertex_weight *
-                  legacy_psi(graph.vertex_demand(tx, ty) + 1,
-                             graph.vertex_capacity(tx, ty));
-        if (horizontal && dir == kDirV)
-          step += params.vertex_weight *
-                  legacy_psi(graph.vertex_demand(tx, ty) + 1,
-                             graph.vertex_capacity(tx, ty));
-        if (!horizontal && nx == to.tx && ny == to.ty)
-          step += params.vertex_weight *
-                  legacy_psi(graph.vertex_demand(nx, ny) + 1,
-                             graph.vertex_capacity(nx, ny));
-      }
-      const int next = state_of(nx, ny, horizontal ? kDirH : kDirV);
-      const double ng = top.g + step;
-      if (ng < dist[static_cast<std::size_t>(next)]) {
-        dist[static_cast<std::size_t>(next)] = ng;
-        parent[static_cast<std::size_t>(next)] = top.state;
-        heap.push({ng + heuristic(nx, ny), ng, next});
-      }
-    }
-  }
-  if (goal_state < 0) return {};
-  std::vector<grid::GCellId> tiles;
-  for (int s = goal_state; s != -1; s = parent[static_cast<std::size_t>(s)]) {
-    const int cell = s / 3;
-    const grid::GCellId id{region.xlo + cell % w, region.ylo + cell / w};
-    if (tiles.empty() || !(tiles.back() == id)) tiles.push_back(id);
-  }
-  std::reverse(tiles.begin(), tiles.end());
-  return tiles;
-}
-
 /// Fixed seeded global-search workload: a 96x96 GCell graph cluttered with
-/// deterministic demand stripes, then 400 region-confined searches between
-/// random tile pairs — the endpoint sequence is identical for both kernels,
-/// so fast vs. legacy time the same set of searches. Backs BM_GlobalSearch,
-/// BM_GlobalSearchLegacy, and the mebl.bench_report "global_kernel" row
-/// (whose speedup field is the ISSUE's >= 2x acceptance gate).
+/// deterministic demand stripes, then 2000 region-confined searches between
+/// random tile pairs (pattern fast path first, scratch A* otherwise). Backs
+/// BM_GlobalSearch and the mebl.bench_report "global_kernel" row.
 struct GlobalKernelStats {
   std::int64_t routed = 0;
   std::int64_t pops = 0;
@@ -240,7 +125,7 @@ struct GlobalKernelStats {
   double seconds = 0.0;
 };
 
-GlobalKernelStats run_global_search_workload(bool fast_kernel) {
+GlobalKernelStats run_global_search_workload() {
   constexpr int kTiles = 96;
   constexpr geom::Coord kTileSize = 30;
   constexpr geom::Coord kSpan = kTiles * kTileSize;
@@ -251,7 +136,7 @@ GlobalKernelStats run_global_search_workload(bool fast_kernel) {
   // Clutter: deterministic demand stripes so searches price real congestion
   // detours instead of walking an empty graph. Densities are tuned so the
   // pattern fast path hits at roughly the rate the table-IV circuits show
-  // (~2/3 of searches), keeping the fast/legacy ratio representative.
+  // (~2/3 of searches).
   for (int i = 0; i < 1000; ++i) {
     const int tx = static_cast<int>(rng.uniform_int(0, kTiles - 2));
     const int ty = static_cast<int>(rng.uniform_int(0, kTiles - 2));
@@ -291,20 +176,14 @@ GlobalKernelStats run_global_search_workload(bool fast_kernel) {
     const geom::Rect region =
         geom::Rect::bounding({a.tx, a.ty}, {b.tx, b.ty}).inflated(8).intersect(
             full);
-    if (fast_kernel) {
-      if (global::try_pattern_route(graph, params, a, b, scratch.path)) {
-        ++stats.pattern_hits;
-        ++stats.routed;
-        continue;
-      }
-      if (global::search_tiles_astar(graph, params, a, b, region, scratch))
-        ++stats.routed;
-      stats.pops += scratch.last_pops;
-    } else {
-      if (!legacy_global_search(graph, params, a, b, region, &stats.pops)
-               .empty())
-        ++stats.routed;
+    if (global::try_pattern_route(graph, params, a, b, scratch.path)) {
+      ++stats.pattern_hits;
+      ++stats.routed;
+      continue;
     }
+    if (global::search_tiles_astar(graph, params, a, b, region, scratch))
+      ++stats.routed;
+    stats.pops += scratch.last_pops;
   }
   stats.seconds = timer.seconds();
   return stats;
@@ -313,26 +192,14 @@ GlobalKernelStats run_global_search_workload(bool fast_kernel) {
 void BM_GlobalSearch(benchmark::State& state) {
   std::int64_t routed = 0;
   for (auto _ : state) {
-    const GlobalKernelStats stats = run_global_search_workload(true);
+    const GlobalKernelStats stats = run_global_search_workload();
     routed += stats.routed;
     benchmark::DoNotOptimize(stats.pops);
   }
-  // items/sec == completed searches per second, commensurable with the
-  // legacy baseline below (same endpoint sequence).
+  // items/sec == completed searches per second.
   state.SetItemsProcessed(routed);
 }
 BENCHMARK(BM_GlobalSearch);
-
-void BM_GlobalSearchLegacy(benchmark::State& state) {
-  std::int64_t routed = 0;
-  for (auto _ : state) {
-    const GlobalKernelStats stats = run_global_search_workload(false);
-    routed += stats.routed;
-    benchmark::DoNotOptimize(stats.pops);
-  }
-  state.SetItemsProcessed(routed);
-}
-BENCHMARK(BM_GlobalSearchLegacy);
 
 void BM_GlobalRoutePass(benchmark::State& state) {
   const auto* spec = bench_suite::find_spec("S5378");
@@ -437,59 +304,40 @@ void BM_TrackAssignIlp(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackAssignIlp)->Arg(3)->Arg(5);
 
-/// Fixed S5378 assignment-stage workload shared by BM_LayerAssign /
-/// BM_TrackAssign and their mebl.bench_report rows: one global route + run
-/// extraction up front, then the assign::Stage API over a fresh copy of the
-/// plan per measurement (the stages annotate runs in place).
+/// Fixed S5378 assignment workload shared by BM_AssignPanels and its
+/// mebl.bench_report row: one global route + run extraction up front, then
+/// assign::assign_panels over every panel of a fresh copy of the plan per
+/// measurement (it annotates runs in place).
 struct AssignWorkload {
   bench_suite::GeneratedCircuit circuit;
-  assign::RoutePlan plan;          ///< extracted, layers unassigned
-  assign::RoutePlan layered_plan;  ///< after LayerAssignStage
+  assign::RoutePlan plan;  ///< extracted, layers unassigned
 };
 
 AssignWorkload make_assign_workload() {
   const auto* spec = bench_suite::find_spec("S5378");
-  AssignWorkload w{bench_common::generate(*spec), {}, {}};
+  AssignWorkload w{bench_common::generate(*spec), {}};
   const auto subnets = netlist::decompose_all(w.circuit.netlist);
   global::GlobalRouter router(w.circuit.grid, {});
   const auto global_result = router.route(subnets);
   w.plan = assign::extract_runs(global_result, w.circuit.grid);
-  w.layered_plan = w.plan;
-  exec::ThreadPool pool(g_threads);
-  assign::LayerAssignStage(assign::StageConfig{})
-      .run(w.layered_plan, w.circuit.grid, pool);
   return w;
 }
 
-void BM_LayerAssign(benchmark::State& state) {
+void BM_AssignPanels(benchmark::State& state) {
   const AssignWorkload w = make_assign_workload();
+  const assign::PanelSet panels = assign::PanelSet::all(w.circuit.grid);
   exec::ThreadPool pool(g_threads);
-  assign::LayerAssignStage stage{assign::StageConfig{}};
-  std::int64_t panels = 0;
+  std::int64_t tasks = 0;
   for (auto _ : state) {
     assign::RoutePlan plan = w.plan;
-    const auto stats = stage.run(plan, w.circuit.grid, pool);
-    panels += stats.panels;
+    const auto stats = assign::assign_panels(plan, w.circuit.grid, panels,
+                                             assign::StageConfig{}, pool);
+    tasks += stats.panels;
     benchmark::DoNotOptimize(plan.runs.data());
   }
-  state.SetItemsProcessed(panels);
+  state.SetItemsProcessed(tasks);
 }
-BENCHMARK(BM_LayerAssign);
-
-void BM_TrackAssign(benchmark::State& state) {
-  const AssignWorkload w = make_assign_workload();
-  exec::ThreadPool pool(g_threads);
-  assign::TrackAssignStage stage{assign::StageConfig{}};
-  std::int64_t panels = 0;
-  for (auto _ : state) {
-    assign::RoutePlan plan = w.layered_plan;
-    const auto stats = stage.run(plan, w.circuit.grid, pool);
-    panels += stats.panels;
-    benchmark::DoNotOptimize(plan.runs.data());
-  }
-  state.SetItemsProcessed(panels);
-}
-BENCHMARK(BM_TrackAssign);
+BENCHMARK(BM_AssignPanels);
 
 /// Fixed seeded ILP solve sequence — the warm sweep's random panel family —
 /// solved through the seed path (sequential DFS, cold start) or the
@@ -619,23 +467,16 @@ int main(int argc, char** argv) {
                  : 0.0},
         });
 
-    // Global-routing kernel row: fast (pattern + scratch A*) vs. legacy
-    // (per-call allocation, exp2 per relaxation) on the identical seeded
-    // search sequence. The speedup field is the regression gate for the
-    // kernel overhaul.
-    const GlobalKernelStats fast = run_global_search_workload(true);
-    const GlobalKernelStats legacy = run_global_search_workload(false);
+    // Global-routing kernel row: pattern fast path + scratch A* on the
+    // fixed seeded search sequence.
+    const GlobalKernelStats global = run_global_search_workload();
     report_scope.add(
         "synthetic96", "global_kernel",
         mebl::report::Json::Object{
-            {"searches", fast.routed},
-            {"pattern_hits", fast.pattern_hits},
-            {"pops", fast.pops},
-            {"legacy_pops", legacy.pops},
-            {"seconds", fast.seconds},
-            {"legacy_seconds", legacy.seconds},
-            {"speedup",
-             fast.seconds > 0.0 ? legacy.seconds / fast.seconds : 0.0},
+            {"searches", global.routed},
+            {"pattern_hits", global.pattern_hits},
+            {"pops", global.pops},
+            {"seconds", global.seconds},
         });
 
     // Global route-pass row: one full batch-synchronous GlobalRouter::route
@@ -661,49 +502,35 @@ int main(int argc, char** argv) {
           });
     }
 
-    // Assignment-stage rows: the Stage API on S5378's extracted plan, one
-    // timed pass per stage on the report pool. Panel counts and bad-end /
-    // rip-up totals are deterministic; the seconds field is what the
-    // regression diff watches.
+    // Assignment row: assign_panels over every panel of S5378's extracted
+    // plan, one timed pass on the report pool. Task, bad-end and rip-up
+    // totals are deterministic; the seconds field is what the regression
+    // diff watches.
     {
       const AssignWorkload w = make_assign_workload();
       mebl::exec::ThreadPool pool(g_threads);
-      {
-        mebl::assign::RoutePlan plan = w.plan;
-        mebl::assign::LayerAssignStage stage{mebl::assign::StageConfig{}};
-        mebl::util::Timer timer;
-        const auto stats = stage.run(plan, w.circuit.grid, pool);
-        std::int64_t assigned = 0;
-        for (const auto& run : plan.runs)
-          if (run.layer >= 0) ++assigned;
-        report_scope.add(
-            "S5378", "layer_assign",
-            mebl::report::Json::Object{
-                {"panels", static_cast<std::int64_t>(stats.panels)},
-                {"runs", static_cast<std::int64_t>(plan.runs.size())},
-                {"assigned", assigned},
-                {"seconds", timer.seconds()},
-            });
+      mebl::assign::RoutePlan plan = w.plan;
+      mebl::util::Timer timer;
+      const auto stats = mebl::assign::assign_panels(
+          plan, w.circuit.grid, mebl::assign::PanelSet::all(w.circuit.grid),
+          mebl::assign::StageConfig{}, pool);
+      const double seconds = timer.seconds();
+      std::int64_t assigned = 0, bad_ends = 0, ripped = 0;
+      for (const auto& run : plan.runs) {
+        if (run.layer >= 0) ++assigned;
+        bad_ends += run.bad_ends;
+        ripped += run.ripped ? 1 : 0;
       }
-      {
-        mebl::assign::RoutePlan plan = w.layered_plan;
-        mebl::assign::TrackAssignStage stage{mebl::assign::StageConfig{}};
-        mebl::util::Timer timer;
-        const auto stats = stage.run(plan, w.circuit.grid, pool);
-        std::int64_t bad_ends = 0, ripped = 0;
-        for (const auto& run : plan.runs) {
-          bad_ends += run.bad_ends;
-          ripped += run.ripped ? 1 : 0;
-        }
-        report_scope.add(
-            "S5378", "track_assign",
-            mebl::report::Json::Object{
-                {"panels", static_cast<std::int64_t>(stats.panels)},
-                {"bad_ends", bad_ends},
-                {"ripped", ripped},
-                {"seconds", timer.seconds()},
-            });
-      }
+      report_scope.add(
+          "S5378", "assign_panels",
+          mebl::report::Json::Object{
+              {"track_tasks", static_cast<std::int64_t>(stats.panels)},
+              {"runs", static_cast<std::int64_t>(plan.runs.size())},
+              {"assigned", assigned},
+              {"bad_ends", bad_ends},
+              {"ripped", ripped},
+              {"seconds", seconds},
+          });
     }
 
     // ILP solver row: the overhauled Solver path (warm start + split

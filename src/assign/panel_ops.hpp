@@ -1,11 +1,12 @@
 #pragma once
 
-// Per-panel assignment operations, factored out of the full-pipeline
-// orchestrator so they can run on any subset of panels. The batch router
-// maps them over every panel; the incremental (ECO) path re-runs exactly
-// the panels whose run set changed, copying the previous assignment for
-// the rest (DESIGN.md §12). Each operation touches only its own panel's
-// runs, so calls on distinct panels are safe to run in parallel.
+// Per-panel assignment operations, the building blocks of
+// assign::assign_panels (assign/stage.hpp), which maps them over any set of
+// panels: every
+// panel for the batch router, exactly the panels whose run set changed for
+// the incremental (ECO) path (DESIGN.md §12). Each operation touches only
+// its own panel's runs, so calls on distinct panels are safe to run in
+// parallel.
 
 #include <vector>
 
@@ -54,8 +55,8 @@ struct TrackTaskStats {
   bool ilp_budget_hit = false;  ///< the solve was truncated by its budget
 };
 
-/// Solve one track task under `method`. This is the single fallback policy
-/// shared by the batch stages and the incremental ECO path: the ILP method
+/// Solve one track task under `method`. This is assign_panels' single
+/// fallback policy, for batch route and ECO alike: the ILP method
 /// skips panels that start past the shared deadline (unless a deterministic
 /// node budget is set, in which case the clock is never consulted) and falls
 /// back to the graph heuristic whenever the solve returns no usable

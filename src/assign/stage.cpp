@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -16,23 +17,22 @@ namespace {
 
 namespace keys = telemetry::keys;
 
-/// One panel's layer assignment plus its telemetry. Returns whether the
-/// panel had runs (the panel counter's unit).
-bool layer_assign_panel(RoutePlan& plan,
+/// One panel's layer assignment plus its telemetry; panels without runs
+/// are skipped (and not counted).
+void layer_assign_panel(RoutePlan& plan,
                         const std::vector<std::size_t>& run_ids,
                         const std::vector<geom::LayerId>& layers,
                         bool column_panel, const StageConfig& config,
                         telemetry::Counter& panels) {
-  if (run_ids.empty()) return false;
+  if (run_ids.empty()) return;
   TELEMETRY_SPAN("assign.layer.panel");
   assign_panel_layers(plan, run_ids, layers, column_panel,
                       config.layer == LayerMethod::kColorableSubset);
   panels.add(1);
-  return true;
 }
 
 /// Shared context of one track-assignment fan-out: the resolved per-panel
-/// options and the counter handles, created once per stage run so counter
+/// options and the counter handles, created once per assign_panels call so
 /// registration does not depend on which panels run where.
 struct TrackRun {
   IlpTrackOptions options;
@@ -48,7 +48,7 @@ struct TrackRun {
   telemetry::Histogram& panel_ns = telemetry::histogram(keys::kTrackPanelNs);
 };
 
-/// Resolve the per-panel ILP options for one stage run: the stage's pool
+/// Resolve the per-panel ILP options for one assign_panels call: its pool
 /// always, and either the deterministic node budget (no wall-clock limits
 /// at all) or one absolute deadline shared by every worker — so a single
 /// over-budget panel cannot overshoot the circuit budget.
@@ -94,94 +94,45 @@ void track_solve_one(RoutePlan& plan, const TrackPanelTask& task,
 
 }  // namespace
 
-StageStats LayerAssignStage::run(RoutePlan& plan,
-                                 const grid::RoutingGrid& grid,
-                                 exec::ThreadPool& pool) {
-  telemetry::Counter& panels = telemetry::counter(keys::kLayerPanels);
-  std::atomic<int> assigned{0};
-  // Each panel owns a disjoint set of runs, so panels are independent tasks:
-  // a body writes only its own runs' layer slots and the outcome does not
-  // depend on the execution order.
-  const auto v_layers = grid.layers_with(geom::Orientation::kVertical);
-  pool.parallel_for(0, static_cast<std::size_t>(grid.tiles_x()),
-                    [&](std::size_t tx) {
-                      if (layer_assign_panel(
-                              plan,
-                              runs_in_column_panel(plan, static_cast<int>(tx)),
-                              v_layers, true, config_, panels))
-                        assigned.fetch_add(1, std::memory_order_relaxed);
-                    });
-  const auto h_layers = grid.layers_with(geom::Orientation::kHorizontal);
-  pool.parallel_for(0, static_cast<std::size_t>(grid.tiles_y()),
-                    [&](std::size_t ty) {
-                      if (layer_assign_panel(
-                              plan,
-                              runs_in_row_panel(plan, static_cast<int>(ty)),
-                              h_layers, false, config_, panels))
-                        assigned.fetch_add(1, std::memory_order_relaxed);
-                    });
-  StageStats stats;
-  stats.panels = assigned.load(std::memory_order_relaxed);
-  return stats;
+PanelSet PanelSet::all(const grid::RoutingGrid& grid) {
+  PanelSet panels;
+  panels.columns.resize(static_cast<std::size_t>(grid.tiles_x()));
+  panels.rows.resize(static_cast<std::size_t>(grid.tiles_y()));
+  std::iota(panels.columns.begin(), panels.columns.end(), 0);
+  std::iota(panels.rows.begin(), panels.rows.end(), 0);
+  return panels;
 }
 
-StageStats TrackAssignStage::run(RoutePlan& plan,
-                                 const grid::RoutingGrid& grid,
-                                 exec::ThreadPool& pool) {
-  // Gather every (column panel, vertical layer) instance up front; each is
-  // an independent task writing a disjoint set of runs.
-  std::vector<int> all_panels(static_cast<std::size_t>(grid.tiles_x()));
-  for (int tx = 0; tx < grid.tiles_x(); ++tx)
-    all_panels[static_cast<std::size_t>(tx)] = tx;
-  const std::vector<TrackPanelTask> tasks =
-      build_track_tasks(plan, grid, all_panels);
-
-  TrackRun run{make_track_options(config_, pool)};
-  util::Timer stage_timer;
-  pool.parallel_for(0, tasks.size(), [&](std::size_t t) {
-    track_solve_one(plan, tasks[t], config_.track, run);
-  });
-  telemetry::counter(keys::kTrackIlpNs)
-      .add(static_cast<std::int64_t>(stage_timer.seconds() * 1e9));
-
-  StageStats stats;
-  stats.panels = static_cast<int>(tasks.size());
-  stats.ilp_budget_exceeded =
-      run.budget_exceeded.load(std::memory_order_relaxed);
-  return stats;
-}
-
-StageStats FusedAssignStage::run(RoutePlan& plan,
-                                 const grid::RoutingGrid& grid,
-                                 exec::ThreadPool& pool) {
+StageStats assign_panels(RoutePlan& plan, const grid::RoutingGrid& grid,
+                         const PanelSet& panels, const StageConfig& config,
+                         exec::ThreadPool& pool) {
   telemetry::Counter& layer_panels = telemetry::counter(keys::kLayerPanels);
-  TrackRun run{make_track_options(config_, pool)};
+  TrackRun run{make_track_options(config, pool)};
   const auto v_layers = grid.layers_with(geom::Orientation::kVertical);
   const auto h_layers = grid.layers_with(geom::Orientation::kHorizontal);
-  const auto tiles_x = static_cast<std::size_t>(grid.tiles_x());
-  const auto tiles_y = static_cast<std::size_t>(grid.tiles_y());
+  const std::size_t columns = panels.columns.size();
   std::atomic<int> track_tasks{0};
 
   util::Timer stage_timer;
-  pool.parallel_for(0, tiles_x + tiles_y, [&](std::size_t i) {
-    if (i < tiles_x) {
-      // Fused column-panel task: layers first, then immediately this
-      // panel's track solves — nothing outside the panel is read or
-      // written, so no barrier is needed between the two.
-      const int tx = static_cast<int>(i);
+  pool.parallel_for(0, columns + panels.rows.size(), [&](std::size_t i) {
+    if (i < columns) {
+      // Column-panel task: layers first, then immediately this panel's
+      // track solves — nothing outside the panel is read or written, so no
+      // barrier is needed between the two.
+      const int tx = panels.columns[i];
       layer_assign_panel(plan, runs_in_column_panel(plan, tx), v_layers, true,
-                         config_, layer_panels);
+                         config, layer_panels);
       const std::vector<TrackPanelTask> tasks =
           build_track_tasks(plan, grid, {tx});
       for (const TrackPanelTask& task : tasks)
-        track_solve_one(plan, task, config_.track, run);
+        track_solve_one(plan, task, config.track, run);
       track_tasks.fetch_add(static_cast<int>(tasks.size()),
                             std::memory_order_relaxed);
     } else {
       // Row panels are layer-only; they fill pool gaps between column tasks.
       layer_assign_panel(plan,
-                         runs_in_row_panel(plan, static_cast<int>(i - tiles_x)),
-                         h_layers, false, config_, layer_panels);
+                         runs_in_row_panel(plan, panels.rows[i - columns]),
+                         h_layers, false, config, layer_panels);
     }
   });
   telemetry::counter(keys::kTrackIlpNs)

@@ -1,14 +1,11 @@
 #pragma once
 
-// assign::Stage — one uniform entry point per assignment stage: a routing
-// plan goes in, the plan's runs are annotated in place, and a small
-// telemetry summary comes out. The core router used to own two bespoke
-// private methods for layer and track assignment; putting both behind one
-// interface lets the orchestrator, the fused panel pipeline and the report
-// observer treat the stages uniformly, and keeps the panel decomposition
-// at the assign layer where the incremental (ECO) path can reuse it.
+// The panel-assignment pass: one entry point that runs layer assignment and
+// then track assignment over a given set of panels (paper §III-B/C). The
+// batch router hands it every panel; the incremental (ECO) path hands it
+// only the panels whose run set changed (DESIGN.md §12, §13).
 
-#include <string_view>
+#include <vector>
 
 #include "assign/layer_assign.hpp"
 #include "assign/panel_ops.hpp"
@@ -20,27 +17,28 @@ class ThreadPool;
 
 namespace mebl::assign {
 
-/// Everything the assignment stages need, mapped from the core RouterConfig
-/// by the orchestrator (core depends on assign, never the other way).
+/// Everything assign_panels needs, mapped from the core RouterConfig (core
+/// depends on assign, never the other way).
 struct StageConfig {
   LayerMethod layer = LayerMethod::kColorableSubset;
   TrackMethod track = TrackMethod::kGraph;
-  /// Per-panel ILP knobs. The track stages overwrite `deadline` (from
-  /// ilp_budget_seconds at run start; cleared entirely when node_budget > 0)
-  /// and `pool` (with the stage's pool) — everything else passes through.
+  /// Per-panel ILP knobs. assign_panels overwrites `deadline` (from
+  /// ilp_budget_seconds when it starts; cleared entirely when
+  /// node_budget > 0) and `pool` (with its pool) — everything else passes
+  /// through.
   IlpTrackOptions ilp;
-  /// Wall-clock budget for all ILP panels of one run, converted to one
-  /// absolute deadline shared by every worker when the track stage starts.
-  /// Ignored in deterministic mode (ilp.node_budget > 0).
+  /// Wall-clock budget for all ILP panels of one assign_panels call,
+  /// converted to one absolute deadline shared by every worker when it
+  /// starts. Ignored in deterministic mode (ilp.node_budget > 0).
   double ilp_budget_seconds = 60.0;
 };
 
-/// Telemetry summary of one stage execution. The detailed counters land in
-/// the telemetry registry (telemetry/keys.hpp) as the stage runs, so
+/// Telemetry summary of one assign_panels call. The detailed counters land
+/// in the telemetry registry (telemetry/keys.hpp) as it runs, so
 /// stage-boundary observers see them in the right per-stage delta; this
-/// struct carries only what the orchestrator consumes directly.
+/// struct carries only what the callers consume directly.
 struct StageStats {
-  int panels = 0;  ///< panel (or panel × layer) tasks processed
+  int panels = 0;  ///< (column panel, vertical layer) track tasks solved
   /// An ILP panel fell back to the graph heuristic — it started past the
   /// shared deadline or its solve returned no usable assignment (maps to
   /// RoutingResult::ilp_budget_exceeded — the Table VII "NA" flag). Solves
@@ -49,71 +47,26 @@ struct StageStats {
   bool ilp_budget_exceeded = false;
 };
 
-/// Uniform stage interface: annotate `plan` in place over `grid`, fanning
-/// panel tasks out on `pool`. Implementations write disjoint per-run slots
-/// from parallel bodies and commit in deterministic order, so the resulting
-/// plan is bit-identical at every pool size (DESIGN.md §7).
-class Stage {
- public:
-  virtual ~Stage() = default;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  virtual StageStats run(RoutePlan& plan, const grid::RoutingGrid& grid,
-                         exec::ThreadPool& pool) = 0;
+/// The panels one assign_panels call covers, by tile index: column panels
+/// get layer and then track assignment, row panels layer assignment only.
+struct PanelSet {
+  std::vector<int> columns;
+  std::vector<int> rows;
+
+  /// Every column and row panel of `grid`, ascending.
+  [[nodiscard]] static PanelSet all(const grid::RoutingGrid& grid);
 };
 
-/// Layer assignment of every panel: column panels over the vertical layer
-/// list, row panels over the horizontal one, one task per panel.
-class LayerAssignStage final : public Stage {
- public:
-  explicit LayerAssignStage(const StageConfig& config) : config_(config) {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "layer_assign";
-  }
-  StageStats run(RoutePlan& plan, const grid::RoutingGrid& grid,
-                 exec::ThreadPool& pool) override;
-
- private:
-  StageConfig config_;
-};
-
-/// Track assignment of every (column panel, vertical layer) task. Expects
-/// layers assigned (i.e. LayerAssignStage already ran on the plan).
-class TrackAssignStage final : public Stage {
- public:
-  explicit TrackAssignStage(const StageConfig& config) : config_(config) {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "track_assign";
-  }
-  StageStats run(RoutePlan& plan, const grid::RoutingGrid& grid,
-                 exec::ThreadPool& pool) override;
-
- private:
-  StageConfig config_;
-};
-
-/// The panel pipeline: one fused task per column panel runs that panel's
-/// layer assignment and then immediately its track assignment, so on the
-/// pool the layer work of panel i+1 overlaps the track work of panel i
-/// instead of waiting at a global barrier between the stages. Row panels
-/// (layer-only) ride along as extra tasks of the same fan-out.
-///
-/// The fused plan is bit-identical to LayerAssignStage followed by
-/// TrackAssignStage: every task touches only its own panel's runs, and a
-/// panel's track solve depends on nothing but that panel's layer result.
-/// Two observable differences: the per-stage telemetry deltas land in the
-/// fused (track) stage rather than split across two stages, and the shared
-/// ILP deadline starts ticking before layer work rather than after it.
-class FusedAssignStage final : public Stage {
- public:
-  explicit FusedAssignStage(const StageConfig& config) : config_(config) {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "assign_pipeline";
-  }
-  StageStats run(RoutePlan& plan, const grid::RoutingGrid& grid,
-                 exec::ThreadPool& pool) override;
-
- private:
-  StageConfig config_;
-};
+/// Assign layers and tracks to the runs of `panels`, in place. One task per
+/// column panel runs that panel's layer assignment and then immediately its
+/// track solves, so the layer work of one panel overlaps the track work of
+/// another on `pool` with no barrier between the two; row panels fill the
+/// same fan-out as layer-only tasks. Every task touches only its own
+/// panel's runs and a panel's track solve depends on nothing but its own
+/// layer result, so the plan is bit-identical at every pool size
+/// (DESIGN.md §7). Runs outside `panels` are left as they are.
+StageStats assign_panels(RoutePlan& plan, const grid::RoutingGrid& grid,
+                         const PanelSet& panels, const StageConfig& config,
+                         exec::ThreadPool& pool);
 
 }  // namespace mebl::assign

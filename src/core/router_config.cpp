@@ -2,6 +2,17 @@
 
 namespace mebl::core {
 
+assign::StageConfig RouterConfig::stage_config() const {
+  assign::StageConfig stage;
+  stage.layer = layer_algorithm;
+  stage.track = track_algorithm;
+  stage.ilp = ilp;
+  stage.ilp.node_budget = ilp_node_budget;
+  stage.ilp.warm_start = ilp_warm_start;
+  stage.ilp_budget_seconds = ilp_budget_seconds;
+  return stage;
+}
+
 RouterConfig RouterConfig::stitch_aware() {
   RouterConfig config;  // defaults are the stitch-aware settings
   config.detail.astar.alpha = 1.0;

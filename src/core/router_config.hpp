@@ -37,7 +37,7 @@ struct RouterConfig {
   LayerAlgorithm layer_algorithm = LayerAlgorithm::kColorableSubset;
   TrackAlgorithm track_algorithm = TrackAlgorithm::kGraph;
   /// Per-panel ILP knobs. Like `ilp.deadline`, the `warm_start`, `pool` and
-  /// `node_budget` members are overwritten by the assignment stage from the
+  /// `node_budget` members are overwritten by assign::assign_panels from the
   /// router-level fields below; set those instead.
   assign::IlpTrackOptions ilp;
   /// Wall-clock budget for all ILP panels of one circuit, enforced as one
@@ -58,12 +58,6 @@ struct RouterConfig {
   /// incumbent + branch hint). Pruning starts at the heuristic cost instead
   /// of +inf — usually a large node-count cut at identical objective value.
   bool ilp_warm_start = true;
-  /// Fuse layer and track assignment into one panel-level pipeline: each
-  /// column panel's track solve starts the moment its own layer assignment
-  /// lands, so layer work of panel i+1 overlaps track work of panel i on
-  /// the pool. The routed result is bit-identical to the staged order; the
-  /// per-stage telemetry split moves into the fused stage.
-  bool assign_pipeline = true;
   detail::DetailedConfig detail;
   /// Worker threads for the parallel pipeline stages (panel-parallel
   /// layer/track assignment, net-batch-parallel global routing,
@@ -103,21 +97,6 @@ struct RouterConfig {
     ilp_warm_start = enabled;
     return *this;
   }
-  /// Toggle the fused layer/track panel pipeline (see assign_pipeline
-  /// above). Off runs the two stages with a barrier between them; the
-  /// routed result is identical either way.
-  RouterConfig& with_assign_pipeline(bool enabled) {
-    assign_pipeline = enabled;
-    return *this;
-  }
-  /// Toggle the disjoint-batch parallel main pass of detailed routing
-  /// (DESIGN.md §9). Off forces the strictly sequential loop; the routed
-  /// result is identical either way — this knob exists for measurement and
-  /// for bisecting scheduler issues, not for correctness.
-  RouterConfig& with_detail_parallelism(bool enabled) {
-    detail.parallel = enabled;
-    return *this;
-  }
   /// Tiled/sparse congestion storage for global routing (DESIGN.md §15):
   /// demand/cost tables materialize lazily per touched tile. The routed
   /// result is bit-identical either way; turn it on for paper-scale grids
@@ -133,6 +112,11 @@ struct RouterConfig {
     global.multilevel.enabled = enabled;
     return *this;
   }
+
+  /// The assign::assign_panels configuration: the enum selections (aliases)
+  /// pass through, and the router-level ILP fields land in the per-panel
+  /// options.
+  [[nodiscard]] assign::StageConfig stage_config() const;
 
   /// The paper's stitch-aware configuration (alpha=1, beta=10, gamma=5).
   static RouterConfig stitch_aware();

@@ -19,34 +19,6 @@ StitchAwareRouter::StitchAwareRouter(const grid::RoutingGrid& grid,
                                      RouterConfig config)
     : grid_(&grid), netlist_(&netlist), config_(std::move(config)) {}
 
-assign::StageConfig StitchAwareRouter::make_stage_config() const {
-  assign::StageConfig stage;
-  stage.layer = config_.layer_algorithm;
-  stage.track = config_.track_algorithm;
-  stage.ilp = config_.ilp;
-  stage.ilp.node_budget = config_.ilp_node_budget;
-  stage.ilp.warm_start = config_.ilp_warm_start;
-  stage.ilp_budget_seconds = config_.ilp_budget_seconds;
-  return stage;
-}
-
-void StitchAwareRouter::assign_layers(assign::RoutePlan& plan,
-                                      exec::ThreadPool& pool) const {
-  assign::LayerAssignStage stage(make_stage_config());
-  stage.run(plan, *grid_, pool);
-}
-
-void StitchAwareRouter::assign_tracks(assign::RoutePlan& plan,
-                                      RoutingResult& result,
-                                      exec::ThreadPool& pool) const {
-  const assign::StageConfig config = make_stage_config();
-  const assign::StageStats stats =
-      config_.assign_pipeline
-          ? assign::FusedAssignStage(config).run(plan, *grid_, pool)
-          : assign::TrackAssignStage(config).run(plan, *grid_, pool);
-  if (stats.ilp_budget_exceeded) result.ilp_budget_exceeded = true;
-}
-
 RoutingResult StitchAwareRouter::run() {
   TELEMETRY_SPAN("pipeline.run");
   namespace keys = telemetry::keys;
@@ -128,11 +100,10 @@ RoutingResult StitchAwareRouter::run() {
   {
     TELEMETRY_SPAN("pipeline.layer_assign");
     begin_stage(Stage::kLayerAssign);
+    // Layer assignment runs inside the track stage's assign_panels call,
+    // panel by panel, so this stage only extracts the runs and the
+    // layer counters land in the track stage's delta.
     result.plan = assign::extract_runs(result.global, *grid_);
-    // In fused-pipeline mode layer assignment runs inside the track stage
-    // (assign::FusedAssignStage), so this stage only extracts the runs and
-    // its counters land in the fused stage's delta.
-    if (!config_.assign_pipeline) assign_layers(result.plan, pool);
   }
   result.times.layer_seconds = timer.seconds();
   end_stage(Stage::kLayerAssign, result.times.layer_seconds);
@@ -142,7 +113,11 @@ RoutingResult StitchAwareRouter::run() {
   {
     TELEMETRY_SPAN("pipeline.track_assign");
     begin_stage(Stage::kTrackAssign);
-    assign_tracks(result.plan, result, pool);
+    result.ilp_budget_exceeded =
+        assign::assign_panels(result.plan, *grid_,
+                              assign::PanelSet::all(*grid_),
+                              config_.stage_config(), pool)
+            .ilp_budget_exceeded;
   }
   result.times.track_seconds = timer.seconds();
   end_stage(Stage::kTrackAssign, result.times.track_seconds);

@@ -125,14 +125,6 @@ class StitchAwareRouter {
   [[nodiscard]] RoutingResult run();
 
  private:
-  /// Map RouterConfig onto the assign-layer stage configuration (enum
-  /// selections pass through — they are aliases — plus the ILP budget
-  /// fields the stages overwrite into the per-panel options).
-  [[nodiscard]] assign::StageConfig make_stage_config() const;
-  void assign_layers(assign::RoutePlan& plan, exec::ThreadPool& pool) const;
-  void assign_tracks(assign::RoutePlan& plan, RoutingResult& result,
-                     exec::ThreadPool& pool) const;
-
   const grid::RoutingGrid* grid_;
   const netlist::Netlist* netlist_;
   RouterConfig config_;

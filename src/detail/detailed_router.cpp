@@ -470,17 +470,6 @@ void DetailedRouter::route_main_parallel(const std::vector<std::size_t>& order,
   const auto& rg = grid_->routing_grid();
   namespace keys = telemetry::keys;
 
-  if (!config_.parallel) {
-    std::size_t done = 0;
-    for (const std::size_t idx : order) {
-      if (cancel != nullptr && cancel->stop_requested()) return;
-      route_subnet(idx, /*allow_realize=*/true);
-      ++done;
-      if (progress) progress(done, order.size());
-    }
-    return;
-  }
-
   // Conservative first-attempt boxes, one per subnet in the order.
   std::vector<Rect> boxes(subnets_->size());
   for (const std::size_t idx : order)

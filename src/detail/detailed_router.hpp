@@ -37,14 +37,12 @@ struct DetailedConfig {
   /// the stitch costs are enabled.
   int sp_cleanup_rounds = 3;
   double sp_cleanup_beta_scale = 8.0;
-  /// Route batches of subnets with pairwise-disjoint search boxes
-  /// concurrently on the caller's thread pool (prefix batching is
-  /// sequential-equivalent, so the routed result is bit-identical to the
-  /// one-at-a-time schedule for every thread count — DESIGN.md §9). Off =
-  /// the strictly sequential loop.
-  bool parallel = true;
-  /// Upper bound on one disjoint batch (bounds commit latency and progress
-  /// granularity; must never depend on the thread count).
+  /// Upper bound on one batch of subnets with pairwise-disjoint search
+  /// boxes, routed concurrently on the caller's thread pool (bounds commit
+  /// latency and progress granularity; must never depend on the thread
+  /// count). Prefix batching is sequential-equivalent, so the routed result
+  /// is the same for every cap and thread count; cap 1 is the
+  /// one-subnet-at-a-time reference schedule (DESIGN.md §9).
   int parallel_batch_cap = 64;
 };
 

@@ -163,7 +163,7 @@ void RoutingGraph::add_h_demand(int tx, int ty, int delta) {
     total_edge_overflow_ += std::max(0, slot.h_dem - cap);
     // Grow the memo row to demand + 1 so memo_cost() can index it without
     // mutation on the frozen read path.
-    psi_lookup(slot.h_dem + 1, cap);
+    grow_psi_memo(slot.h_dem + 1, cap);
     return;
   }
   const std::size_t i = h_index(tx, ty);
@@ -184,7 +184,7 @@ void RoutingGraph::add_v_demand(int tx, int ty, int delta) {
     slot.v_dem += delta;
     assert(slot.v_dem >= 0);
     total_edge_overflow_ += std::max(0, slot.v_dem - cap);
-    psi_lookup(slot.v_dem + 1, cap);  // grow the memo row for memo_cost()
+    grow_psi_memo(slot.v_dem + 1, cap);  // the row memo_cost() reads
     return;
   }
   const std::size_t i = v_index(tx, ty);
@@ -205,7 +205,7 @@ void RoutingGraph::add_vertex_demand(int tx, int ty, int delta) {
     slot.vert_dem += delta;
     assert(slot.vert_dem >= 0);
     total_vertex_overflow_ += std::max(0, slot.vert_dem - cap);
-    psi_lookup(slot.vert_dem + 1, cap);  // grow the memo row for memo_cost()
+    grow_psi_memo(slot.vert_dem + 1, cap);  // the row memo_cost() reads
     return;
   }
   const std::size_t i = t_index(tx, ty);
@@ -227,10 +227,18 @@ double RoutingGraph::psi_lookup(int demand, int capacity) {
   if (capacity <= 0) return demand > 0 ? 1e9 : 0.0;
   if (demand < 0 || static_cast<std::size_t>(capacity) >= psi_memo_.size())
     return psi(demand, capacity);  // outside the memo's domain
+  grow_psi_memo(demand, capacity);
+  return psi_memo_[static_cast<std::size_t>(capacity)]
+                  [static_cast<std::size_t>(demand)];
+}
+
+void RoutingGraph::grow_psi_memo(int demand, int capacity) {
+  if (capacity <= 0 || demand < 0 ||
+      static_cast<std::size_t>(capacity) >= psi_memo_.size())
+    return;  // outside the memo's domain
   auto& row = psi_memo_[static_cast<std::size_t>(capacity)];
   while (row.size() <= static_cast<std::size_t>(demand))
     row.push_back(psi(static_cast<int>(row.size()), capacity));
-  return row[static_cast<std::size_t>(demand)];
 }
 
 void RoutingGraph::seed_psi_memo(int max_cap) {

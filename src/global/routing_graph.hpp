@@ -193,6 +193,10 @@ class RoutingGraph {
   /// add_*_demand (sequential phases), never from the read-only cost path.
   [[nodiscard]] double psi_lookup(int demand, int capacity);
 
+  /// Extend the memo row of `capacity` through `demand` (psi_lookup without
+  /// the read); a no-op outside the memo's domain.
+  void grow_psi_memo(int demand, int capacity);
+
   /// Size the psi memo for the largest capacity present.
   void seed_psi_memo(int max_cap);
 

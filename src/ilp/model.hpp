@@ -25,7 +25,7 @@ struct Constraint {
 
 /// 0/1 integer linear program (minimization). This is the model interface
 /// the track-assignment ILP of the paper (eqs. 5-9) is built against; the
-/// exact branch-and-bound solver in branch_and_bound.hpp replaces CPLEX.
+/// exact branch-and-bound ilp::Solver (solver.hpp) replaces CPLEX.
 class Model {
  public:
   /// Add a binary decision variable with the given objective coefficient.

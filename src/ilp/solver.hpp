@@ -91,7 +91,7 @@ struct Solution {
 /// faithful stand-in for the paper's CPLEX usage, including its blow-up on
 /// large panels.
 ///
-/// What the object adds over the retired free function:
+/// What the object adds over a plain sequential DFS:
 ///
 ///  * Parallel subtree exploration. The root is expanded sequentially into
 ///    a fixed-size frontier of subproblems (split_target — never derived

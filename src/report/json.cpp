@@ -39,6 +39,12 @@ void write_indent(std::ostream& out, int depth) {
   for (int i = 0; i < depth; ++i) out << "  ";
 }
 
+/// Deepest array/object nesting the parser accepts. The parser recurses
+/// once per level, so without a bound one line of `[[[[...` from a client
+/// overflows the stack; every document the repo writes nests fewer than
+/// ten levels deep.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -77,8 +83,8 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested(&Parser::parse_object);
+      case '[': return nested(&Parser::parse_array);
       case '"': return parse_string();
       case 't':
         return literal("true") ? std::optional<Json>(Json(true)) : std::nullopt;
@@ -89,6 +95,16 @@ class Parser {
         return literal("null") ? std::optional<Json>(Json()) : std::nullopt;
       default: return parse_number();
     }
+  }
+
+  /// Parse one array or object one level deeper; past kMaxNestingDepth
+  /// the document is rejected like any other malformed input.
+  std::optional<Json> nested(std::optional<Json> (Parser::*parse)()) {
+    if (depth_ >= kMaxNestingDepth) return std::nullopt;
+    ++depth_;
+    std::optional<Json> value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   std::optional<Json> parse_object() {
@@ -203,6 +219,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

@@ -88,8 +88,8 @@ class Json {
   void dump(std::ostream& out, int indent = 0) const;
   [[nodiscard]] std::string dump() const;
 
-  /// Parse a complete JSON document; std::nullopt on any syntax error or
-  /// trailing garbage.
+  /// Parse a complete JSON document; std::nullopt on any syntax error,
+  /// trailing garbage, or arrays/objects nested more than 256 deep.
   [[nodiscard]] static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -132,11 +132,6 @@ Json to_json(const Request& request) {
     for (const std::string& name : request.net_names) names.push_back(name);
     root["net_names"] = std::move(names);
   }
-  if (request.move_pin >= 0) {
-    root["move_pin"] = static_cast<std::int64_t>(request.move_pin);
-    root["move_to_x"] = static_cast<std::int64_t>(request.move_to.x);
-    root["move_to_y"] = static_cast<std::int64_t>(request.move_to.y);
-  }
   if (!request.moves.empty()) {
     Json moves = Json::array();
     for (const PinMoveSpec& move : request.moves) {
@@ -184,10 +179,13 @@ std::optional<Request> parse_request(const Json& json) {
     for (const Json& item : names->items())
       if (item.kind() == Json::Kind::kString)
         request.net_names.push_back(item.as_string());
-  request.move_pin =
-      static_cast<netlist::PinId>(get_int(json, "move_pin", -1));
-  request.move_to.x = static_cast<geom::Coord>(get_int(json, "move_to_x"));
-  request.move_to.y = static_cast<geom::Coord>(get_int(json, "move_to_y"));
+  // Legacy single-move keys from older clients: the first move.
+  if (const auto pin =
+          static_cast<netlist::PinId>(get_int(json, "move_pin", -1));
+      pin >= 0)
+    request.moves.push_back(
+        {pin, {static_cast<geom::Coord>(get_int(json, "move_to_x")),
+               static_cast<geom::Coord>(get_int(json, "move_to_y"))}});
   if (const Json* moves = json.get("moves");
       moves != nullptr && moves->kind() == Json::Kind::kArray)
     for (const Json& item : moves->items()) {

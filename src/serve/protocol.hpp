@@ -43,8 +43,7 @@ enum class Op : std::uint8_t {
 
 /// One pin relocation inside an ECO: move `pin` to `to`. A request may
 /// carry several, applied in order (later moves see the positions earlier
-/// ones produced); the legacy single move_pin/move_to pair remains as the
-/// one-move shorthand and is applied first.
+/// ones produced).
 struct PinMoveSpec {
   netlist::PinId pin = -1;
   geom::Point to;
@@ -78,12 +77,10 @@ struct Request {
   /// against the resident design's netlist).
   std::vector<netlist::NetId> nets;
   std::vector<std::string> net_names;
-  /// kEco: optional pin move (pin id -> new location). -1 = none.
-  netlist::PinId move_pin = -1;
-  geom::Point move_to;
-  /// kEco: additional pin moves, applied in order after move_pin. The
-  /// coalescing dispatcher also uses this to union the moves of batched
-  /// ECO requests.
+  /// kEco: pin moves, applied in order. The coalescing dispatcher unions
+  /// the moves of batched ECO requests here. decode_request also accepts
+  /// the legacy single-move keys of older clients and turns them into the
+  /// first move; encode emits only `moves`.
   std::vector<PinMoveSpec> moves;
   /// kEco: run the bit-identity check — replay the same ECO on a resident
   /// rebuilt from the serialized pre-ECO state and compare canonical

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
-#include "assign/panel_ops.hpp"
-#include "assign/track_assign.hpp"
+#include "assign/stage.hpp"
 #include "eval/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "netlist/decompose.hpp"
@@ -179,22 +179,16 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
   if (!out.error.empty()) return out;
 
   // --- pin-move validation (before any mutation) ---------------------------
-  // Normalize the legacy single move plus the batched list into one ordered
-  // list, then validate every move against sequentially-simulated pin
-  // positions, so a rejected request leaves the resident untouched and a
-  // coalesced batch behaves exactly like its member requests back to back.
-  std::vector<PinMoveSpec> moves;
-  if (request.move_pin >= 0)
-    moves.push_back({request.move_pin, request.move_to});
-  moves.insert(moves.end(), request.pin_moves.begin(),
-               request.pin_moves.end());
+  // Validate every move against sequentially-simulated pin positions, so a
+  // rejected request leaves the resident untouched and a coalesced batch
+  // behaves exactly like its member requests back to back.
   std::vector<detail::DetailedRouter::PinMove> pin_moves;
   std::map<netlist::PinId, Point> moved_to;  ///< simulated final positions
-  if (!moves.empty()) {
+  if (!request.pin_moves.empty()) {
     std::set<std::pair<geom::Coord, geom::Coord>> occupied;
     for (const netlist::Pin& pin : design_.netlist.pins())
       occupied.insert({pin.pos.x, pin.pos.y});
-    for (const PinMoveSpec& move : moves) {
+    for (const PinMoveSpec& move : request.pin_moves) {
       if (move.pin < 0 || static_cast<std::size_t>(move.pin) >=
                               design_.netlist.num_pins()) {
         out.error = "pin id out of range";
@@ -345,53 +339,22 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
   collect_panels(old_plan);
   collect_panels(plan);
 
-  const bool colorable =
-      config_.layer_algorithm == core::LayerAlgorithm::kColorableSubset;
-  const auto v_layers = design_.grid.layers_with(Orientation::kVertical);
-  const auto h_layers = design_.grid.layers_with(Orientation::kHorizontal);
-  for (const int tx : dirty_columns)
-    assign::assign_panel_layers(plan, assign::runs_in_column_panel(plan, tx),
-                                v_layers, /*column_panel=*/true, colorable);
-  for (const int ty : dirty_rows)
-    assign::assign_panel_layers(plan, assign::runs_in_row_panel(plan, ty),
-                                h_layers, /*column_panel=*/false, colorable);
-
-  // Track assignment over the dirty column panels. ECO only runs solvers
-  // whose result is a pure function of the instance: a wall-clock ILP
-  // budget would break the bit-identity / replay contract, so
-  // TrackAlgorithm::kIlp runs here only in its deterministic node-budget
+  // ECO only runs solvers whose result is a pure function of the instance:
+  // a wall-clock ILP budget would break the bit-identity / replay contract,
+  // so TrackAlgorithm::kIlp runs here only in its deterministic node-budget
   // mode (RouterConfig::ilp_node_budget > 0, no clock consulted anywhere)
   // and degrades to the graph heuristic otherwise (DESIGN.md §12). The
-  // panel loop stays sequential; the node-budgeted solver fans its
-  // subproblems out on the job pool, which is deterministic at any pool
-  // size, so ECO ILP reroutes still pass the verify replay gate.
-  assign::TrackMethod track_method = config_.track_algorithm;
-  assign::IlpTrackOptions ilp_options = config_.ilp;
-  if (track_method == assign::TrackMethod::kIlp) {
-    if (config_.ilp_node_budget > 0) {
-      ilp_options.node_budget = config_.ilp_node_budget;
-      ilp_options.warm_start = config_.ilp_warm_start;
-      ilp_options.deadline.reset();
-      ilp_options.pool = pool;
-    } else {
-      track_method = assign::TrackMethod::kGraph;
-    }
-  }
-  const std::vector<int> columns(dirty_columns.begin(), dirty_columns.end());
-  std::vector<assign::TrackPanelTask> tasks =
-      assign::build_track_tasks(plan, design_.grid, columns);
-  telemetry::Counter& ilp_nodes =
-      telemetry::counter(telemetry::keys::kTrackIlpNodes);
-  telemetry::Counter& ilp_budget_hits =
-      telemetry::counter(telemetry::keys::kTrackIlpBudgetHits);
-  for (assign::TrackPanelTask& task : tasks) {
-    assign::TrackTaskStats track_stats;
-    const assign::TrackAssignResult assigned =
-        assign::solve_track_task(task, track_method, ilp_options, track_stats);
-    assign::apply_track_result(plan, task, assigned);
-    ilp_nodes.add(track_stats.ilp_nodes);
-    if (track_stats.ilp_budget_hit) ilp_budget_hits.add(1);
-  }
+  // panel pass is deterministic at any pool size, so ECO ILP reroutes
+  // still pass the verify replay gate.
+  assign::StageConfig stage = config_.stage_config();
+  if (stage.track == assign::TrackMethod::kIlp && stage.ilp.node_budget <= 0)
+    stage.track = assign::TrackMethod::kGraph;
+  std::optional<exec::ThreadPool> inline_pool;
+  assign::assign_panels(
+      plan, design_.grid,
+      {{dirty_columns.begin(), dirty_columns.end()},
+       {dirty_rows.begin(), dirty_rows.end()}},
+      stage, pool != nullptr ? *pool : inline_pool.emplace(1));
   result_.plan = std::move(plan);
   }
 

@@ -40,13 +40,10 @@ struct EcoRequest {
   /// netlist; unknown names are an error).
   std::vector<netlist::NetId> nets;
   std::vector<std::string> net_names;
-  /// Optional pin move: relocate this pin to `move_to` and reroute its net
-  /// (plus any net whose wires occupy the destination). -1 = none.
-  netlist::PinId move_pin = -1;
-  geom::Point move_to;
-  /// Additional pin moves, applied in order after move_pin. Later moves see
-  /// the positions earlier ones produced, so a batched (coalesced) ECO
-  /// replays exactly like its member requests run back to back.
+  /// Pin moves: relocate each pin and reroute its net (plus any net whose
+  /// wires occupy the destination). Applied in order; later moves see the
+  /// positions earlier ones produced, so a batched (coalesced) ECO replays
+  /// exactly like its member requests run back to back.
   std::vector<PinMoveSpec> pin_moves;
   /// Run the bit-identity check: replay the same ECO on a resident rebuilt
   /// from the serialized pre-ECO state and compare canonical quality

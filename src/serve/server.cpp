@@ -532,8 +532,6 @@ void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
                       request.nets.end());
       eco.net_names.insert(eco.net_names.end(), request.net_names.begin(),
                            request.net_names.end());
-      if (request.move_pin >= 0)
-        eco.pin_moves.push_back({request.move_pin, request.move_to});
       eco.pin_moves.insert(eco.pin_moves.end(), request.moves.begin(),
                            request.moves.end());
       eco.verify = eco.verify || request.verify;

@@ -1,10 +1,9 @@
 // Assignment-stage parallelism (DESIGN.md: "Assignment-stage parallelism &
-// the Solver API"): the panel-parallel layer/track stages and the parallel
-// branch-and-bound behind them keep the routed assignment bit-identical for
-// every thread count, the fused panel pipeline reproduces the staged order
-// exactly, graph-heuristic warm starts never change the assignment cost,
-// and a node-budgeted ILP run is a pure function of the input — including
-// its search-effort counters — at any pool size.
+// the Solver API"): panel-parallel assign::assign_panels and the parallel
+// branch-and-bound behind it keep the routed assignment bit-identical for
+// every thread count, graph-heuristic warm starts never change the
+// assignment cost, and a node-budgeted ILP run is a pure function of the
+// input — including its search-effort counters — at any pool size.
 
 #include <cstdint>
 #include <string>
@@ -66,12 +65,8 @@ AssignFingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
   return fp;
 }
 
-/// compare_report = false for staged-vs-fused comparisons: the routed result
-/// is identical but the per-stage telemetry split legitimately moves (the
-/// fused stage absorbs the layer-assignment counters), so the canonical
-/// bytes differ in which stage block carries assign.layer.panels.
 void expect_identical(const AssignFingerprint& a, const AssignFingerprint& b,
-                      const std::string& what, bool compare_report = true) {
+                      const std::string& what) {
   EXPECT_EQ(a.layers, b.layers) << what;
   EXPECT_EQ(a.pieces, b.pieces) << what;
   EXPECT_EQ(a.ripped, b.ripped) << what;
@@ -80,9 +75,7 @@ void expect_identical(const AssignFingerprint& a, const AssignFingerprint& b,
   EXPECT_EQ(a.metrics.vias, b.metrics.vias) << what;
   EXPECT_EQ(a.metrics.short_polygons, b.metrics.short_polygons) << what;
   EXPECT_EQ(a.metrics.routed_nets, b.metrics.routed_nets) << what;
-  if (compare_report) {
-    EXPECT_EQ(a.canonical_report, b.canonical_report) << what;
-  }
+  EXPECT_EQ(a.canonical_report, b.canonical_report) << what;
 }
 
 bench_suite::GeneratedCircuit make_circuit(const char* name) {
@@ -94,11 +87,9 @@ bench_suite::GeneratedCircuit make_circuit(const char* name) {
 class AssignParallelDeterminism : public ::testing::TestWithParam<const char*> {
 };
 
-// Node-budgeted ILP track assignment plus the fused panel pipeline at
-// --threads 1 and 8: per-run layer + pieces + ripped + bad_ends, the
+// Node-budgeted ILP track assignment through assign::assign_panels
+// at --threads 1 and 8: per-run layer + pieces + ripped + bad_ends, the
 // headline metrics, and the canonical report bytes must all be identical.
-// The same run with the pipeline disabled (staged barrier order) must
-// reproduce the fused routed result exactly.
 TEST_P(AssignParallelDeterminism, BitIdenticalAcrossThreadCounts) {
   const auto circuit = make_circuit(GetParam());
   const auto base = core::RouterConfig::stitch_aware()
@@ -114,12 +105,6 @@ TEST_P(AssignParallelDeterminism, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.ilp_nodes, eight.ilp_nodes);
   EXPECT_EQ(one.ilp_budget_hits, eight.ilp_budget_hits);
   EXPECT_EQ(one.ilp_budget_exceeded, eight.ilp_budget_exceeded);
-
-  const AssignFingerprint staged = route_circuit(
-      circuit,
-      core::RouterConfig(base).with_threads(8).with_assign_pipeline(false));
-  expect_identical(one, staged, std::string(GetParam()) + " staged-vs-fused",
-                   /*compare_report=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, AssignParallelDeterminism,

@@ -182,11 +182,12 @@ TEST_P(DetailParallelDeterminism, IdenticalAcrossThreadCounts) {
                      std::string(GetParam()) +
                          " threads=" + std::to_string(threads));
 
-  // Parallelism off must reproduce the batched schedule's result exactly:
-  // prefix batching is sequential-equivalent by construction.
-  const Fingerprint sequential = route_circuit(
-      circuit, core::RouterConfig::stitch_aware().with_threads(8).
-                   with_detail_parallelism(false));
+  // Batch cap 1 (one subnet at a time, the sequential reference schedule)
+  // must reproduce the batched schedule's result exactly: prefix batching
+  // is sequential-equivalent by construction.
+  auto reference = core::RouterConfig::stitch_aware().with_threads(8);
+  reference.detail.parallel_batch_cap = 1;
+  const Fingerprint sequential = route_circuit(circuit, reference);
   EXPECT_EQ(one.metrics.wirelength, sequential.metrics.wirelength);
   EXPECT_EQ(one.metrics.vias, sequential.metrics.vias);
   EXPECT_EQ(one.metrics.short_polygons, sequential.metrics.short_polygons);

@@ -5,15 +5,13 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "ilp/branch_and_bound.hpp"
 #include "ilp/solver.hpp"
 #include "util/rng.hpp"
 
 namespace mebl::ilp {
 namespace {
 
-/// Most tests exercise the Solver API through a throwaway instance; the
-/// deprecated free-function shim keeps exactly one dedicated test below.
+/// Most tests exercise the Solver API through a throwaway instance.
 Solution solve_with(const Model& model, const SolveOptions& options = {}) {
   Solver solver;
   return solver.solve(model, options);
@@ -180,20 +178,6 @@ Model random_model(util::Rng& rng, int n) {
                               vars[static_cast<std::size_t>(i + 3)]},
                              Sense::kLe, 1.0);
   return model;
-}
-
-TEST(IlpSolver, DeprecatedSolveShimMatchesSequentialSolver) {
-  util::Rng rng(7);
-  const Model model = random_model(rng, 18);
-  SolveOptions sequential;
-  sequential.split_target = 1;
-  Solver solver;
-  const Solution via_solver = solver.solve(model, sequential);
-  const Solution via_shim = solve(model);  // deprecated free function
-  EXPECT_EQ(via_shim.status, via_solver.status);
-  EXPECT_DOUBLE_EQ(via_shim.objective, via_solver.objective);
-  EXPECT_EQ(via_shim.values, via_solver.values);
-  EXPECT_EQ(via_shim.nodes_explored, via_solver.nodes_explored);
 }
 
 TEST(IlpSolver, SplitSolveMatchesSequentialAtEveryPoolSize) {

@@ -43,8 +43,6 @@ TEST(ServeProtocol, RequestRoundTripsEveryField) {
   request.deadline_seconds = 1.5;
   request.nets = {4, 17, 23};
   request.net_names = {"clk", "rst"};
-  request.move_pin = 9;
-  request.move_to = {12, 34};
   request.moves = {{3, {7, 8}}, {5, {9, 10}}};
   request.verify = true;
   request.cancel_id = 7;
@@ -64,12 +62,20 @@ TEST(ServeProtocol, RequestRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(decoded->deadline_seconds, 1.5);
   EXPECT_EQ(decoded->nets, request.nets);
   EXPECT_EQ(decoded->net_names, request.net_names);
-  EXPECT_EQ(decoded->move_pin, 9);
-  EXPECT_EQ(decoded->move_to.x, 12);
-  EXPECT_EQ(decoded->move_to.y, 34);
   EXPECT_EQ(decoded->moves, request.moves);
   EXPECT_TRUE(decoded->verify);
   EXPECT_EQ(decoded->cancel_id, 7);
+
+  // Older clients send one move as separate keys; it decodes to the first
+  // move, ahead of any listed ones.
+  const auto legacy = decode_request(
+      R"({"op":"eco","id":1,"move_pin":9,"move_to_x":12,"move_to_y":34,)"
+      R"("moves":[{"pin":3,"x":7,"y":8}]})");
+  ASSERT_TRUE(legacy.has_value());
+  const std::vector<PinMoveSpec> expected = {{9, {12, 34}}, {3, {7, 8}}};
+  EXPECT_EQ(legacy->moves, expected);
+  EXPECT_EQ(encode(*legacy).find("move_pin"), std::string::npos)
+      << "encode must emit only the moves list";
 }
 
 TEST(ServeProtocol, EscapesControlAndQuoteCharacters) {
@@ -118,6 +124,25 @@ TEST(ServeProtocol, RejectsMalformedLines) {
   EXPECT_FALSE(decode_request("not json").has_value());
   EXPECT_FALSE(decode_request("{\"op\":\"warp\"}").has_value());
   EXPECT_FALSE(decode_response("{").has_value());
+}
+
+// One hostile line must not take the daemon's IO thread down: nesting past
+// the parser's depth limit is rejected like any other malformed input
+// instead of recursing until the stack overflows.
+TEST(ServeProtocol, RejectsDeeplyNestedLinesWithoutCrashing) {
+  constexpr std::size_t kMegabyte = 1 << 20;
+  EXPECT_FALSE(decode_request(std::string(kMegabyte, '[')).has_value());
+  std::string objects;
+  while (objects.size() < kMegabyte) objects += "{\"a\":";
+  EXPECT_FALSE(decode_request(objects).has_value());
+
+  // Moderate nesting still parses.
+  const std::string nested =
+      R"({"op":"ping","id":5,"extra":)" + std::string(100, '[') +
+      std::string(100, ']') + "}";
+  const auto decoded = decode_request(nested);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->id, 5);
 }
 
 // --------------------------------------------------------------- job queue
@@ -406,8 +431,7 @@ TEST(ServeEco, PinMoveReroutesAndStaysConsistent) {
   ASSERT_GE(pin, 0) << "no movable pin found";
 
   EcoRequest request;
-  request.move_pin = pin;
-  request.move_to = to;
+  request.pin_moves = {{pin, to}};
   request.verify = true;
   const EcoOutcome outcome = resident.eco(request);
   ASSERT_TRUE(outcome.ok) << outcome.error;
@@ -790,6 +814,7 @@ void load_and_route(Client& client, const std::string& name,
 TEST(ServeServer, MetricsRequestRendersValidPrometheusText) {
   ServerConfig config;
   config.socket_path = test_socket_path() + ".m";
+  config.lanes = 1;  // the gauges below name lane 0 only
   Server server(config);
   ASSERT_TRUE(server.start());
   Client client;
