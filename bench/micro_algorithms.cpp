@@ -24,6 +24,8 @@
 #include "graph/bipartite_matching.hpp"
 #include "graph/interval_k_coloring.hpp"
 #include "netlist/decompose.hpp"
+#include "telemetry/keys.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -66,7 +68,10 @@ KernelStats run_astar_kernel_workload() {
     }
   }
   KernelStats stats;
-  const std::int64_t before = router.nodes_expanded();
+  detail::SearchScratch scratch;
+  const telemetry::Counter& expansions =
+      telemetry::counter(telemetry::keys::kAstarExpansions);
+  const std::int64_t before = expansions.value();
   util::Timer timer;
   for (int i = 0; i < 200; ++i) {
     const auto ax = static_cast<geom::Coord>(rng.uniform_int(2, kSize - 3));
@@ -76,11 +81,14 @@ KernelStats run_astar_kernel_workload() {
     const geom::Rect box =
         geom::Rect::bounding({ax, ay}, {bx, by}).inflated(8).intersect(
             rg.extent());
-    if (router.route(static_cast<netlist::NetId>(i), {ax, ay}, {bx, by}, box))
+    const auto net = static_cast<netlist::NetId>(i);
+    if (router.search(scratch, net, {ax, ay}, {bx, by}, box)) {
+      for (const geom::Point3 p : scratch.path) grid.claim(p, net);
       ++stats.routed;
+    }
   }
   stats.seconds = timer.seconds();
-  stats.expansions = router.nodes_expanded() - before;
+  stats.expansions = expansions.value() - before;
   return stats;
 }
 
@@ -102,12 +110,16 @@ void BM_AStarRoute(benchmark::State& state) {
                        grid::StitchPlan(span + 20, 15));
   detail::GridGraph grid(rg);
   detail::AStarRouter router(grid, {});
+  detail::SearchScratch scratch;
   netlist::NetId net = 0;
   for (auto _ : state) {
     const geom::Coord y = (net * 7) % (span + 10);
-    benchmark::DoNotOptimize(
-        router.route(net, {2, y}, {span, (y + span / 2) % (span + 10)},
-                     rg.extent()));
+    const bool found = router.search(
+        scratch, net, {2, y}, {span, (y + span / 2) % (span + 10)},
+        rg.extent());
+    benchmark::DoNotOptimize(found);
+    if (found)
+      for (const geom::Point3 p : scratch.path) grid.claim(p, net);
     ++net;
   }
   state.SetItemsProcessed(state.iterations());

@@ -14,7 +14,7 @@ using geom::Point;
 using geom::Point3;
 using geom::Rect;
 
-AStarRouter::AStarRouter(GridGraph& grid, AStarConfig config)
+AStarRouter::AStarRouter(const GridGraph& grid, AStarConfig config)
     : grid_(&grid),
       config_(config),
       searches_counter_(&telemetry::counter(telemetry::keys::kAstarSearches)),
@@ -85,24 +85,6 @@ void AStarRouter::add_node_penalty(Point3 node, double penalty) {
             grid_->routing_grid().width() * grid_->routing_grid().height(),
         0.0);
   node_penalty_[grid_->index(node)] += penalty;
-}
-
-bool AStarRouter::route(netlist::NetId net, Point a, Point b, const Rect& box) {
-  if (!search(scratch_, net, a, b, box, /*foreign_penalty=*/-1.0, nullptr))
-    return false;
-  for (const Point3 p : scratch_.path) grid_->claim(p, net);
-  return true;
-}
-
-bool AStarRouter::probe(netlist::NetId net, Point a, Point b, const Rect& box,
-                        double foreign_penalty, const NodeBitmap* hard) {
-  assert(foreign_penalty > 0.0);
-  return search(scratch_, net, a, b, box, foreign_penalty, hard);
-}
-
-bool AStarRouter::search_path(SearchScratch& scratch, netlist::NetId net,
-                              Point a, Point b, const Rect& box) const {
-  return search(scratch, net, a, b, box, /*foreign_penalty=*/-1.0, nullptr);
 }
 
 bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
@@ -283,7 +265,6 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
     }
   }
 
-  nodes_expanded_.fetch_add(expanded, std::memory_order_relaxed);
   searches_counter_->add(1);
   expansions_counter_->add(expanded);
   search_ns_histogram_->record_ns(telemetry::now_ns() - start_ns);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -28,9 +27,9 @@ struct AStarConfig {
 
 /// Per-search scratch state of one A* search: the epoch-stamped visited /
 /// g-cost / parent arrays, the reusable open-list storage, and the result
-/// path. Owning the scratch makes a search reentrant — concurrent searches
-/// on one AStarRouter are race-free as long as each uses its own scratch
-/// (the parallel detailed router keeps one per pool worker).
+/// path. The caller owns the scratch, which makes a search reentrant:
+/// concurrent searches on one AStarRouter are race-free as long as each
+/// thread uses its own scratch (the detailed router keeps one per thread).
 struct SearchScratch {
   std::vector<std::uint32_t> stamp;
   std::vector<double> g_cost;
@@ -44,7 +43,7 @@ struct SearchScratch {
   };
   std::vector<HeapEntry> heap;
   /// Nodes of the most recent successful search using this scratch, in
-  /// start-to-goal order.
+  /// start-to-goal order (AStarRouter::search never claims them).
   std::vector<geom::Point3> path;
 };
 
@@ -61,29 +60,22 @@ struct SearchScratch {
 /// admissibility but cuts re-expansions markedly.
 class AStarRouter {
  public:
-  AStarRouter(GridGraph& grid, AStarConfig config);
+  AStarRouter(const GridGraph& grid, AStarConfig config);
 
-  /// Route `net` from pin `a` to pin `b` (both on the pin layer), confined
-  /// to `box` (track coordinates). On success the path's nodes are claimed
-  /// for the net and true is returned; on failure the grid is unchanged.
-  bool route(netlist::NetId net, geom::Point a, geom::Point b,
-             const geom::Rect& box);
-
-  /// Rip-up probing mode: like route(), but nodes owned by *other* nets are
-  /// passable at `foreign_penalty` per node (except pin-layer nodes and the
-  /// nodes in `hard`, which stay blocked). Nothing is claimed; the caller
-  /// reads last_path(), rips the blockers, and re-claims. Returns true when
-  /// a path exists.
-  bool probe(netlist::NetId net, geom::Point a, geom::Point b,
-             const geom::Rect& box, double foreign_penalty,
-             const NodeBitmap* hard);
-
-  /// Reentrant search: compute a path into `scratch.path` without claiming
-  /// anything or touching the router's internal scratch. Safe to call
-  /// concurrently from multiple threads (each with its own scratch) while
+  /// The one A* search: find a path for `net` from pin `a` to pin `b` (both
+  /// on the pin layer), confined to `box` (track coordinates), into
+  /// `scratch.path` in start-to-goal order. Nothing is claimed — the caller
+  /// claims the path it keeps, so a failed search leaves the grid unchanged.
+  ///
+  /// With `foreign_penalty` > 0 (the rip-up probe) nodes owned by *other*
+  /// nets are passable at that price per node, except pin-layer nodes and
+  /// the nodes in `hard`, which stay blocked. Reentrant: safe to call
+  /// concurrently from several threads, each with its own scratch, while
   /// nobody mutates the grid — the parallel detailed router's contract.
-  bool search_path(SearchScratch& scratch, netlist::NetId net, geom::Point a,
-                   geom::Point b, const geom::Rect& box) const;
+  bool search(SearchScratch& scratch, netlist::NetId net, geom::Point a,
+              geom::Point b, const geom::Rect& box,
+              double foreign_penalty = -1.0,
+              const NodeBitmap* hard = nullptr) const;
 
   /// Add a static extra cost on a node (e.g. the line-crossing positions
   /// next to stitch-unfriendly pins, where a crossing wire would become a
@@ -95,21 +87,7 @@ class AStarRouter {
   /// phases only — never call while searches run on other threads.
   void set_beta_scale(double scale) noexcept { beta_scale_ = scale; }
 
-  /// Nodes claimed by the most recent successful route() call.
-  [[nodiscard]] const std::vector<geom::Point3>& last_path() const noexcept {
-    return scratch_.path;
-  }
-
-  /// Total nodes expanded over the router's lifetime (performance metric).
-  [[nodiscard]] std::int64_t nodes_expanded() const noexcept {
-    return nodes_expanded_.load(std::memory_order_relaxed);
-  }
-
  private:
-  bool search(SearchScratch& scratch, netlist::NetId net, geom::Point a,
-              geom::Point b, const geom::Rect& box, double foreign_penalty,
-              const NodeBitmap* hard) const;
-
   /// Escape-region columns strictly between x1 and x2 (heuristic term).
   [[nodiscard]] double escape_between(geom::Coord x1, geom::Coord x2) const;
 
@@ -122,7 +100,7 @@ class AStarRouter {
     std::uint8_t vmove_ok = 1; ///< vertical move legal here
   };
 
-  GridGraph* grid_;
+  const GridGraph* grid_;
   AStarConfig config_;
   std::vector<Column> columns_;
   std::vector<int> escape_prefix_;
@@ -138,12 +116,6 @@ class AStarRouter {
   telemetry::Counter* searches_counter_;
   telemetry::Counter* expansions_counter_;
   telemetry::Histogram* search_ns_histogram_;
-
-  /// Scratch of the sequential route()/probe() entry points.
-  SearchScratch scratch_;
-  /// mutable: search() is const (reentrant, read-only on the router) but
-  /// still accounts its expansions; relaxed atomic, stats only.
-  mutable std::atomic<std::int64_t> nodes_expanded_{0};
 };
 
 }  // namespace mebl::detail

@@ -43,28 +43,29 @@ std::vector<std::vector<std::size_t>> gather_disjoint_batches(
   // Rect overlap implies bin-range overlap, so an unstamped candidate is
   // guaranteed disjoint from the whole batch (the converse may spuriously
   // close a batch early, which costs parallelism but never correctness).
-  Coord max_x = 0, max_y = 0;
-  for (const std::size_t idx : order) {
-    const Rect& r = boxes[idx];
-    if (!r.empty()) {
-      max_x = std::max(max_x, r.xhi);
-      max_y = std::max(max_y, r.yhi);
-    }
-  }
+  // The bin grid covers only the hull of the boxes.
+  assert(boxes.size() == order.size());
   const auto bin_of = [bin_size](Coord c) {
     return c <= 0 ? Coord{0} : c / bin_size;
   };
-  const std::size_t bins_x = static_cast<std::size_t>(bin_of(max_x)) + 1;
-  const std::size_t bins_y = static_cast<std::size_t>(bin_of(max_y)) + 1;
+  Rect hull;
+  for (const Rect& r : boxes)
+    if (!r.empty()) hull = hull.hull(r);
+  const Coord bin_x0 = bin_of(hull.xlo);
+  const Coord bin_y0 = bin_of(hull.ylo);
+  const auto bins_x = static_cast<std::size_t>(bin_of(hull.xhi) - bin_x0) + 1;
+  const auto bins_y = static_cast<std::size_t>(bin_of(hull.yhi) - bin_y0) + 1;
   std::vector<std::uint32_t> bin_stamp(bins_x * bins_y, 0);
   std::uint32_t epoch = 0;
 
   const auto scan = [&](const Rect& r, bool mark) {
-    // mark=false: return true on conflict. mark=true: stamp the bins.
-    const std::size_t bx0 = static_cast<std::size_t>(bin_of(r.xlo));
-    const std::size_t bx1 = static_cast<std::size_t>(bin_of(r.xhi));
-    const std::size_t by0 = static_cast<std::size_t>(bin_of(r.ylo));
-    const std::size_t by1 = static_cast<std::size_t>(bin_of(r.yhi));
+    // mark=false: return true on conflict. mark=true: stamp the bins. An
+    // empty box touches no bin.
+    if (r.empty()) return false;
+    const auto bx0 = static_cast<std::size_t>(bin_of(r.xlo) - bin_x0);
+    const auto bx1 = static_cast<std::size_t>(bin_of(r.xhi) - bin_x0);
+    const auto by0 = static_cast<std::size_t>(bin_of(r.ylo) - bin_y0);
+    const auto by1 = static_cast<std::size_t>(bin_of(r.yhi) - bin_y0);
     for (std::size_t by = by0; by <= by1; ++by)
       for (std::size_t bx = bx0; bx <= bx1; ++bx) {
         std::uint32_t& s = bin_stamp[by * bins_x + bx];
@@ -82,10 +83,10 @@ std::vector<std::vector<std::size_t>> gather_disjoint_batches(
     ++epoch;
     std::vector<std::size_t> batch;
     batch.push_back(order[pos]);
-    scan(boxes[order[pos]], /*mark=*/true);
+    scan(boxes[pos], /*mark=*/true);
     ++pos;
     while (pos < order.size() && batch.size() < max_batch) {
-      const Rect& candidate = boxes[order[pos]];
+      const Rect& candidate = boxes[pos];
       if (scan(candidate, /*mark=*/false)) break;
       scan(candidate, /*mark=*/true);
       batch.push_back(order[pos]);

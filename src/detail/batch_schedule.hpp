@@ -24,16 +24,18 @@ namespace mebl::detail {
                                            const grid::RoutingGrid& rg,
                                            geom::Coord margin);
 
-/// Greedy prefix batching for the parallel detailed router: walk `order`
+/// Greedy prefix batching for the detailed router's scheduler: walk `order`
 /// front to back, extending the current batch while the next subnet's box
-/// is disjoint from every box already gathered (tested conservatively on a
-/// uniform bin grid of `bin_size` tracks), and closing it at the first
-/// conflict or at `max_batch` members. The concatenation of the returned
-/// batches is exactly `order`, and the boxes within one batch are pairwise
-/// disjoint — so executing batches in sequence, with any serialization (or
-/// parallelization) inside a batch, reproduces the strictly sequential
-/// schedule node for node. Subnets whose boxes overlap everything simply
-/// degenerate to singleton batches: the sequential tail.
+/// (`boxes[i]` belongs to `order[i]`) is disjoint from every box already
+/// gathered (tested conservatively on a uniform bin grid of `bin_size`
+/// tracks over the boxes' hull), and closing it at the first conflict or at
+/// `max_batch` members. Storage is O(order + hull bins), never O(design), so
+/// short orders (one net's subnets) stay cheap. The concatenation of the
+/// returned batches is exactly `order`, and the boxes within one batch are
+/// pairwise disjoint — so executing batches in sequence, with any
+/// serialization (or parallelization) inside a batch, reproduces the
+/// strictly sequential schedule node for node. Subnets whose boxes overlap
+/// everything simply degenerate to singleton batches: the sequential tail.
 ///
 /// Deterministic: depends only on `order` and `boxes`, never on thread
 /// count or timing.

@@ -24,9 +24,17 @@ using geom::Rect;
 namespace {
 
 /// Per-thread A* scratch: pool workers are long-lived, so each keeps its
-/// arrays warm across batches; the sequential passes reuse the caller
-/// thread's instance.
+/// arrays warm across batches; the barrier's escalations and the rescue
+/// probe use the calling thread's instance.
 thread_local SearchScratch tl_scratch;  // NOLINT(cert-err58-cpp)
+
+/// A detail counter, looked up once (registry entries have stable
+/// addresses); commits bump these on every subnet.
+template <const char* Key>
+telemetry::Counter& detail_counter() {
+  static telemetry::Counter& counter = telemetry::counter(Key);
+  return counter;
+}
 
 /// The line-column nodes guarded for a pin inside a stitch unfriendly
 /// region (claim_pins installs penalties there; move_pin_claims removes
@@ -404,7 +412,7 @@ DetailedRouter::Attempt DetailedRouter::compute_first_attempt(
   const Rect box = subnet.bbox()
                        .inflated(config_.base_margin)
                        .intersect(grid_->routing_grid().extent());
-  if (astar_.search_path(scratch, subnet.net, subnet.a, subnet.b, box)) {
+  if (astar_.search(scratch, subnet.net, subnet.a, subnet.b, box)) {
     attempt.kind = Attempt::Kind::kAstar;
     attempt.nodes = scratch.path;
   }
@@ -417,64 +425,55 @@ void DetailedRouter::commit_attempt(std::size_t idx, Attempt&& attempt) {
   for (const Point3 p : attempt.nodes) grid_->claim(p, net);
   result_->subnet_nodes[idx] = std::move(attempt.nodes);
   result_->subnet_routed[idx] = true;
+  namespace keys = telemetry::keys;
   switch (attempt.kind) {
     case Attempt::Kind::kRealized:
       result_->subnet_method[idx] = RouteMethod::kRealized;
       ++result_->planned_realized;
+      detail_counter<keys::kSubnetsRealized>().add(1);
       break;
     case Attempt::Kind::kPattern:
       result_->subnet_method[idx] = RouteMethod::kSearch;
       ++result_->pattern_routed;
+      detail_counter<keys::kSubnetsPattern>().add(1);
       break;
     default:
       result_->subnet_method[idx] = RouteMethod::kSearch;
       ++result_->astar_routed;
+      detail_counter<keys::kSubnetsAstar>().add(1);
       break;
   }
 }
 
-bool DetailedRouter::route_subnet_escalated(std::size_t idx, int first_retry) {
+bool DetailedRouter::route_subnet_escalated(std::size_t idx) {
   const auto& subnet = (*subnets_)[idx];
   const Rect extent = grid_->routing_grid().extent();
   Coord margin = config_.base_margin;
-  for (int attempt = 0; attempt < first_retry; ++attempt) margin *= 4;
-  for (int attempt = first_retry; attempt <= config_.max_retries; ++attempt) {
+  for (int retry = 1; retry <= config_.max_retries; ++retry) {
+    margin *= 4;
     const Rect box = subnet.bbox().inflated(margin).intersect(extent);
-    if (astar_.route(subnet.net, subnet.a, subnet.b, box)) {
-      result_->subnet_nodes[idx] = astar_.last_path();
-      result_->subnet_routed[idx] = true;
-      result_->subnet_method[idx] = RouteMethod::kSearch;
-      ++result_->astar_routed;
+    if (astar_.search(tl_scratch, subnet.net, subnet.a, subnet.b, box)) {
+      commit_attempt(idx, Attempt{Attempt::Kind::kAstar, tl_scratch.path});
       return true;
     }
-    margin *= 4;
   }
   result_->subnet_routed[idx] = false;
   return false;
 }
 
-bool DetailedRouter::route_subnet(std::size_t idx, bool allow_realize) {
-  Attempt attempt = compute_first_attempt(idx, allow_realize, tl_scratch);
-  if (attempt.kind != Attempt::Kind::kNone) {
-    commit_attempt(idx, std::move(attempt));
-    return true;
-  }
-  return route_subnet_escalated(idx, /*first_retry=*/1);
-}
-
-void DetailedRouter::route_main_parallel(const std::vector<std::size_t>& order,
-                                         exec::ThreadPool* pool,
-                                         const exec::Cancellation* cancel,
-                                         const ProgressFn& progress) {
-  TELEMETRY_SPAN("detail.main_pass");
+void DetailedRouter::route_batches(const std::vector<std::size_t>& order,
+                                   bool realized_only, exec::ThreadPool* pool,
+                                   const exec::Cancellation* cancel,
+                                   const ProgressFn& progress) {
   const auto& rg = grid_->routing_grid();
   namespace keys = telemetry::keys;
 
-  // Conservative first-attempt boxes, one per subnet in the order.
-  std::vector<Rect> boxes(subnets_->size());
+  // Conservative first-attempt boxes, by position in the order.
+  std::vector<Rect> boxes;
+  boxes.reserve(order.size());
   for (const std::size_t idx : order)
-    boxes[idx] =
-        subnet_search_box((*subnets_)[idx], *plan_, idx, rg, config_.base_margin);
+    boxes.push_back(subnet_search_box((*subnets_)[idx], *plan_, idx, rg,
+                                      config_.base_margin));
   const auto batches = gather_disjoint_batches(
       order, boxes, std::max<Coord>(rg.tile_size(), 1),
       static_cast<std::size_t>(std::max(config_.parallel_batch_cap, 1)));
@@ -482,17 +481,24 @@ void DetailedRouter::route_main_parallel(const std::vector<std::size_t>& order,
   // Schedule-shape telemetry. Everything here is a pure function of the
   // order and the boxes, so the canonical run-report deltas stay identical
   // for every thread count.
-  telemetry::counter(keys::kDetailBatches)
-      .add(static_cast<std::int64_t>(batches.size()));
+  detail_counter<keys::kDetailBatches>().add(
+      static_cast<std::int64_t>(batches.size()));
   std::int64_t batched = 0;
   for (const auto& batch : batches)
     if (batch.size() > 1) batched += static_cast<std::int64_t>(batch.size());
-  telemetry::counter(keys::kDetailBatchedSubnets).add(batched);
-  telemetry::counter(keys::kDetailSequentialSubnets)
-      .add(static_cast<std::int64_t>(order.size()) - batched);
-  telemetry::Counter& escalations = telemetry::counter(keys::kDetailEscalations);
-  telemetry::Counter& recomputed = telemetry::counter(keys::kDetailRecomputed);
+  detail_counter<keys::kDetailBatchedSubnets>().add(batched);
+  detail_counter<keys::kDetailSequentialSubnets>().add(
+      static_cast<std::int64_t>(order.size()) - batched);
+  telemetry::Counter& escalations = detail_counter<keys::kDetailEscalations>();
+  telemetry::Counter& recomputed = detail_counter<keys::kDetailRecomputed>();
   telemetry::Histogram& batch_ns = telemetry::histogram(keys::kDetailBatchNs);
+
+  const auto first_attempt = [&](std::size_t idx) {
+    const bool allow_realize =
+        !realized_only ||
+        result_->subnet_method[idx] == RouteMethod::kRealized;
+    return compute_first_attempt(idx, allow_realize, tl_scratch);
+  };
 
   std::vector<Attempt> attempts;
   std::size_t done = 0;
@@ -509,16 +515,11 @@ void DetailedRouter::route_main_parallel(const std::vector<std::size_t>& order,
     if (pool != nullptr && batch.size() > 1) {
       pool->parallel_for(
           0, batch.size(),
-          [&](std::size_t i) {
-            attempts[i] =
-                compute_first_attempt(batch[i], /*allow_realize=*/true,
-                                      tl_scratch);
-          },
+          [&](std::size_t i) { attempts[i] = first_attempt(batch[i]); },
           cancel);
     } else {
       for (std::size_t i = 0; i < batch.size(); ++i)
-        attempts[i] = compute_first_attempt(batch[i], /*allow_realize=*/true,
-                                            tl_scratch);
+        attempts[i] = first_attempt(batch[i]);
     }
 
     // Barrier: commit in batch (= sequential) order. A member that failed
@@ -530,18 +531,16 @@ void DetailedRouter::route_main_parallel(const std::vector<std::size_t>& order,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::size_t idx = batch[i];
       if (cancel != nullptr && cancel->stop_requested()) return;
-      const bool stale = !spill.empty() && spill.overlaps(boxes[idx]);
-      if (stale) {
+      if (!spill.empty() && spill.overlaps(boxes[done + i])) {
         recomputed.add(1);
-        attempts[i] = compute_first_attempt(idx, /*allow_realize=*/true,
-                                            tl_scratch);
+        attempts[i] = first_attempt(idx);
       }
       if (attempts[i].kind != Attempt::Kind::kNone) {
         commit_attempt(idx, std::move(attempts[i]));
         continue;
       }
       escalations.add(1);
-      if (route_subnet_escalated(idx, /*first_retry=*/1)) {
+      if (route_subnet_escalated(idx)) {
         for (const Point3 p : result_->subnet_nodes[idx])
           spill = spill.hull(Rect{p.x, p.y, p.x, p.y});
       }
@@ -570,12 +569,13 @@ std::vector<std::size_t> DetailedRouter::rip_net(netlist::NetId net) {
   return ripped;
 }
 
-void DetailedRouter::rescue_failed(const std::vector<netlist::Subnet>& subnets) {
+void DetailedRouter::rescue_failed(exec::ThreadPool* pool) {
   TELEMETRY_SPAN("detail.rescue");
   telemetry::Counter& rescued =
       telemetry::counter(telemetry::keys::kRipupRescued);
   telemetry::Counter& victims_count =
       telemetry::counter(telemetry::keys::kRipupVictims);
+  const auto& subnets = *subnets_;
   const Rect extent = grid_->routing_grid().extent();
   for (int round = 0; round < config_.ripup_rounds; ++round) {
     std::vector<std::size_t> failed;
@@ -590,10 +590,10 @@ void DetailedRouter::rescue_failed(const std::vector<netlist::Subnet>& subnets) 
       const Rect box = subnet.bbox()
                            .inflated(config_.base_margin * 8)
                            .intersect(extent);
-      if (!astar_.probe(subnet.net, subnet.a, subnet.b, box,
-                        config_.ripup_foreign_penalty, &pin_nodes_))
+      if (!astar_.search(tl_scratch, subnet.net, subnet.a, subnet.b, box,
+                         config_.ripup_foreign_penalty, &pin_nodes_))
         continue;
-      const std::vector<Point3> path = astar_.last_path();
+      std::vector<Point3> path = tl_scratch.path;
       std::unordered_set<netlist::NetId> blockers;
       for (const Point3 p : path) {
         const netlist::NetId owner = grid_->owner(p);
@@ -609,7 +609,7 @@ void DetailedRouter::rescue_failed(const std::vector<netlist::Subnet>& subnets) 
         victims.insert(victims.end(), ripped.begin(), ripped.end());
       }
       for (const Point3 p : path) grid_->claim(p, subnet.net);
-      result_->subnet_nodes[idx] = path;
+      result_->subnet_nodes[idx] = std::move(path);
       result_->subnet_routed[idx] = true;
       result_->subnet_method[idx] = RouteMethod::kSearch;
       ++result_->ripup_rescued;
@@ -622,8 +622,7 @@ void DetailedRouter::rescue_failed(const std::vector<netlist::Subnet>& subnets) 
                          return subnets[a].bbox().area() <
                                 subnets[b].bbox().area();
                        });
-      for (const std::size_t victim : victims)
-        route_subnet(victim, /*allow_realize=*/true);
+      route_batches(victims, /*realized_only=*/false, pool, nullptr, {});
     }
     if (!progress) return;
   }
@@ -678,7 +677,7 @@ std::vector<SpSite> short_polygon_sites(const GridGraph& grid) {
 
 }  // namespace
 
-void DetailedRouter::cleanup_short_polygons() {
+void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
   if (!config_.astar.stitch_cost) return;
   TELEMETRY_SPAN("detail.sp_cleanup");
   for (int round = 0; round < config_.sp_cleanup_rounds; ++round) {
@@ -705,35 +704,41 @@ void DetailedRouter::cleanup_short_polygons() {
     std::sort(offenders.begin(), offenders.end());  // deterministic order
     astar_.set_beta_scale(config_.sp_cleanup_beta_scale);
     for (const netlist::NetId net : offenders) {
-      // Save the net's geometry so a failed reroute can be undone.
-      std::vector<std::pair<std::size_t, std::vector<Point3>>> saved;
+      // Save the net's geometry and methods so a failed reroute can be
+      // undone.
+      struct Saved {
+        std::size_t idx;
+        std::vector<Point3> nodes;
+        RouteMethod method;
+      };
+      std::vector<Saved> saved;
       for (const std::size_t idx :
            subnets_of_net_[static_cast<std::size_t>(net)])
         if (result_->subnet_routed[idx])
-          saved.emplace_back(idx, result_->subnet_nodes[idx]);
+          saved.push_back({idx, result_->subnet_nodes[idx],
+                           result_->subnet_method[idx]});
 
-      std::vector<RouteMethod> prior_method(result_->subnet_method);
-
+      // Realized subnets re-realize their assigned geometry verbatim; only
+      // the search-routed ones get a fresh, stricter search. rip_net leaves
+      // subnet_method alone, so the scheduler reads the prior method.
       const auto victims = rip_net(net);
-      bool ok = true;
-      for (const std::size_t idx : victims)
-        // Realized subnets re-realize their assigned geometry verbatim;
-        // only the search-routed ones get a fresh, stricter search.
-        if (!route_subnet(idx, /*allow_realize=*/prior_method[idx] ==
-                                   RouteMethod::kRealized))
-          ok = false;
+      route_batches(victims, /*realized_only=*/true, pool, nullptr, {});
+      const bool ok = std::all_of(
+          victims.begin(), victims.end(),
+          [&](std::size_t idx) { return result_->subnet_routed[idx]; });
 
       if (!ok) {
         // Restore the original geometry and bookkeeping.
         rip_net(net);
-        for (auto& [idx, nodes] : saved) {
-          for (const Point3 p : nodes) grid_->claim(p, net);
-          result_->subnet_nodes[idx] = std::move(nodes);
-          result_->subnet_routed[idx] = true;
-          result_->subnet_method[idx] = prior_method[idx];
+        for (Saved& entry : saved) {
+          for (const Point3 p : entry.nodes) grid_->claim(p, net);
+          result_->subnet_nodes[entry.idx] = std::move(entry.nodes);
+          result_->subnet_routed[entry.idx] = true;
+          result_->subnet_method[entry.idx] = entry.method;
         }
       } else {
         ++result_->sp_cleanup_nets;
+        detail_counter<telemetry::keys::kSpCleanupNets>().add(1);
       }
     }
     astar_.set_beta_scale(1.0);
@@ -798,10 +803,20 @@ void DetailedRouter::reroute_nets(const std::vector<netlist::NetId>& nets,
   std::vector<std::size_t> order;
   for (const std::size_t idx : full_order)
     if (ripped[idx] != 0) order.push_back(idx);
-  route_main_parallel(order, pool, cancel, progress);
+  route_and_repair(order, pool, cancel, progress);
+}
+
+void DetailedRouter::route_and_repair(const std::vector<std::size_t>& order,
+                                      exec::ThreadPool* pool,
+                                      const exec::Cancellation* cancel,
+                                      const ProgressFn& progress) {
+  {
+    TELEMETRY_SPAN("detail.main_pass");
+    route_batches(order, /*realized_only=*/false, pool, cancel, progress);
+  }
   if (cancel == nullptr || !cancel->stop_requested()) {
-    rescue_failed(*subnets_);
-    cleanup_short_polygons();
+    rescue_failed(pool);
+    cleanup_short_polygons(pool);
   }
   result_->routed = std::count(result_->subnet_routed.begin(),
                                result_->subnet_routed.end(), true);
@@ -820,24 +835,10 @@ DetailedResult DetailedRouter::route_all(
   result.subnet_method.assign(subnets.size(), RouteMethod::kNone);
   bind(subnets, plan, result);
 
-  const auto order = order_subnets(subnets, plan, config_.stitch_net_ordering);
-  route_main_parallel(order, pool, cancel, progress);
+  route_and_repair(order_subnets(subnets, plan, config_.stitch_net_ordering),
+                   pool, cancel, progress);
 
-  if (cancel == nullptr || !cancel->stop_requested()) {
-    rescue_failed(subnets);
-    cleanup_short_polygons();
-  }
-
-  result.routed = std::count(result.subnet_routed.begin(),
-                             result.subnet_routed.end(), true);
-  result.failed = static_cast<std::int64_t>(subnets.size()) - result.routed;
-
-  namespace keys = telemetry::keys;
-  telemetry::counter(keys::kSubnetsRealized).add(result.planned_realized);
-  telemetry::counter(keys::kSubnetsPattern).add(result.pattern_routed);
-  telemetry::counter(keys::kSubnetsAstar).add(result.astar_routed);
-  telemetry::counter(keys::kSubnetsFailed).add(result.failed);
-  telemetry::counter(keys::kSpCleanupNets).add(result.sp_cleanup_nets);
+  telemetry::counter(telemetry::keys::kSubnetsFailed).add(result.failed);
   util::log_info() << "detailed routing: " << result.routed << "/"
                    << subnets.size() << " subnets (realized "
                    << result.planned_realized << ", A* "

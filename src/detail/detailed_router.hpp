@@ -81,12 +81,13 @@ struct DetailedResult {
 /// and finally reroutes nets that still own short polygons with a stricter
 /// cost (the framework's failed-net rip-up/reroute pass).
 ///
-/// The main pass is batch-parallel: subnets whose conservative search boxes
-/// are pairwise disjoint are searched concurrently against the grid state
-/// frozen at the batch start, then claimed in index order at the batch
-/// barrier. Disjointness makes the schedule sequential-equivalent, so the
-/// routed result is identical to the one-subnet-at-a-time loop for every
-/// thread count (including the no-pool fallback).
+/// Every pass routes its subnets through one batch-parallel scheduler:
+/// subnets whose conservative search boxes are pairwise disjoint are searched
+/// concurrently against the grid state frozen at the batch start, then
+/// claimed in order at the batch barrier. Disjointness makes the schedule
+/// sequential-equivalent, so the routed result is identical to the
+/// one-subnet-at-a-time loop for every thread count (including the no-pool
+/// fallback).
 class DetailedRouter {
  public:
   DetailedRouter(GridGraph& grid, DetailedConfig config = {});
@@ -103,9 +104,9 @@ class DetailedRouter {
   /// Route all subnets. `plan` carries the layer/track assignment; runs
   /// without assignment (or with ripped tracks) are routed directly.
   ///
-  /// `pool` parallelizes the disjoint-batch searches of the main pass (null
-  /// = run them on the calling thread; the routed result is identical
-  /// either way). `cancel` stops the scheduling of further batches and
+  /// `pool` parallelizes the disjoint-batch searches of every pass (null =
+  /// run them on the calling thread; the routed result is identical either
+  /// way). `cancel` stops the scheduling of further batches and
   /// skips the rescue/cleanup passes; already-committed subnets are kept.
   /// `progress` fires after every committed batch.
   DetailedResult route_all(const std::vector<netlist::Subnet>& subnets,
@@ -155,7 +156,6 @@ class DetailedRouter {
   void move_pin_claims(netlist::NetId net, geom::Point from, geom::Point to);
 
   [[nodiscard]] const GridGraph& grid() const noexcept { return *grid_; }
-  [[nodiscard]] AStarRouter& astar() noexcept { return astar_; }
 
  private:
   /// One computed (not yet committed) routing attempt for a subnet.
@@ -186,29 +186,36 @@ class DetailedRouter {
   /// bookkeeping and stage counters.
   void commit_attempt(std::size_t idx, Attempt&& attempt);
 
-  /// Escalating A* retries (margin *= 4 per retry) starting at retry
-  /// `first_retry`; claims and books on success.
-  bool route_subnet_escalated(std::size_t idx, int first_retry);
+  /// Escalating A* retries after a failed first attempt (margin *= 4 per
+  /// retry) on the calling thread's scratch; commits on success.
+  bool route_subnet_escalated(std::size_t idx);
 
-  /// Route one subnet start to finish (realization first, then A* with
-  /// growing windows). Updates occupancy, bookkeeping, and the counters.
-  bool route_subnet(std::size_t idx, bool allow_realize);
+  /// The scheduler — the only way subnets get routed: the disjoint-batch
+  /// pass over `order` (see class comment). With `realized_only`, a subnet
+  /// may realize its plan only when its recorded method is kRealized (the
+  /// short-polygon cleanup's rule: search-routed geometry is searched
+  /// again, never re-realized); otherwise every subnet may.
+  void route_batches(const std::vector<std::size_t>& order, bool realized_only,
+                     exec::ThreadPool* pool, const exec::Cancellation* cancel,
+                     const ProgressFn& progress);
 
-  /// The batch-parallel main pass over `order` (see class comment).
-  void route_main_parallel(const std::vector<std::size_t>& order,
-                           exec::ThreadPool* pool,
-                           const exec::Cancellation* cancel,
-                           const ProgressFn& progress);
+  /// The tail shared by route_all and reroute_nets: the main pass over
+  /// `order`, then (unless cancelled) rescue and short-polygon cleanup, then
+  /// the bound result's routed/failed totals.
+  void route_and_repair(const std::vector<std::size_t>& order,
+                        exec::ThreadPool* pool,
+                        const exec::Cancellation* cancel,
+                        const ProgressFn& progress);
 
   /// Release all geometry of `net` (sparing pin reservations) and mark its
   /// subnets unrouted. Returns the ripped subnet indices.
   std::vector<std::size_t> rip_net(netlist::NetId net);
 
   /// Rip-up & reroute pass for currently failed subnets.
-  void rescue_failed(const std::vector<netlist::Subnet>& subnets);
+  void rescue_failed(exec::ThreadPool* pool);
 
   /// Reroute nets owning short polygons with scaled beta.
-  void cleanup_short_polygons();
+  void cleanup_short_polygons(exec::ThreadPool* pool);
 
   /// Point the working pointers at a (subnets, plan, result) triple and
   /// rebuild the net -> subnet index.

@@ -259,6 +259,7 @@ void Server::io_loop() {
       // Take the lines out of the connection buffer, then handle them
       // without the lock (handlers may push jobs or write responses).
       std::vector<std::string> lines;
+      bool overlong = false;
       {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         auto it = connections_.find(client);
@@ -273,8 +274,17 @@ void Server::io_loop() {
           start = nl + 1;
         }
         it->second.buffer.erase(0, start);
+        overlong = it->second.buffer.size() > kMaxLineBytes;
       }
       for (const std::string& line : lines) handle_line(client, line);
+      if (overlong) {
+        util::log_warn() << "serve: client " << client
+                         << " exceeded the " << kMaxLineBytes
+                         << "-byte request line limit; disconnecting";
+        send_response(client, make_error(0, "request line too long"));
+        scheduler_.cancel_client(client);
+        drop_connection(client);
+      }
     }
   }
 }

@@ -36,6 +36,13 @@ class ThreadPool;
 
 namespace mebl::serve {
 
+/// Longest unterminated request line a connection may buffer. The largest
+/// inline `load` the repo sends (full-scale S38584 MEBL1 text) encodes to
+/// ~0.74 MB, so 8 MiB leaves 11x headroom (DESIGN.md §12). A client that
+/// passes it without a newline gets one "request line too long" error line,
+/// its jobs are cancelled, and the connection is dropped.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
 struct ServerConfig {
   /// AF_UNIX socket path; bound on start(), unlinked on stop().
   std::string socket_path;

@@ -73,9 +73,11 @@ inline constexpr char kSubnetsPattern[] = "detail.subnets.pattern";
 inline constexpr char kSubnetsAstar[] = "detail.subnets.astar";
 inline constexpr char kSubnetsFailed[] = "detail.subnets.failed";
 
-// detailed-routing parallelism (DESIGN.md §9). All of these are functions
-// of the routing order and search boxes alone — never of the thread count —
-// so they stay byte-identical in canonical run reports across --threads.
+// detailed-routing scheduler (DESIGN.md §9). They count every scheduled
+// pass — the main pass, rescue victims and short-polygon cleanup victims.
+// All are functions of the routing orders and search boxes alone — never of
+// the thread count — so they stay byte-identical in canonical run reports
+// across --threads.
 inline constexpr char kDetailBatches[] = "detail.parallel.batches";
 inline constexpr char kDetailBatchedSubnets[] = "detail.parallel.batched_subnets";
 inline constexpr char kDetailSequentialSubnets[] =

@@ -1,8 +1,9 @@
 // Detailed-routing parallelism (DESIGN.md §9): the disjoint-batch gatherer
-// never co-schedules overlapping search boxes, and the batch-parallel main
-// pass is sequential-equivalent — the routed result (headline metrics,
-// per-stage detail stats, canonical run-report bytes) is bit-identical for
-// every thread count and with parallelism turned off entirely.
+// never co-schedules overlapping search boxes, and the batch scheduler that
+// drives every detail pass is sequential-equivalent — the routed result
+// (headline metrics, per-stage detail stats, canonical run-report bytes) is
+// bit-identical for every thread count and batch cap, for batch routes and
+// ECO reroutes alike.
 
 #include <string>
 #include <vector>
@@ -12,7 +13,9 @@
 #include "bench_suite/circuit_generator.hpp"
 #include "core/stitch_router.hpp"
 #include "detail/batch_schedule.hpp"
+#include "exec/thread_pool.hpp"
 #include "report/report.hpp"
+#include "serve/resident_design.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -194,6 +197,44 @@ TEST_P(DetailParallelDeterminism, IdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.detail.subnet_routed, sequential.detail.subnet_routed);
   EXPECT_EQ(one.detail.planned_realized, sequential.detail.planned_realized);
   EXPECT_EQ(one.detail.astar_routed, sequential.detail.astar_routed);
+  EXPECT_EQ(one.detail.subnet_nodes, sequential.detail.subnet_nodes);
+  EXPECT_EQ(one.detail.subnet_method, sequential.detail.subnet_method);
+  EXPECT_EQ(one.detail.ripup_rescued, sequential.detail.ripup_rescued);
+  EXPECT_EQ(one.detail.sp_cleanup_nets, sequential.detail.sp_cleanup_nets);
+}
+
+// The ECO path schedules its main pass, rescue and short-polygon cleanup
+// through the same scheduler: a 10-net reroute lands on identical geometry
+// for every batch cap and thread count.
+TEST(DetailEcoDeterminism, RerouteIdenticalAcrossCapsAndThreads) {
+  const auto* spec = bench_suite::find_spec("S5378");
+  ASSERT_NE(spec, nullptr);
+  const auto circuit = bench_suite::generate_circuit(*spec, {}, 20130602u);
+  std::vector<netlist::NetId> nets;
+  for (const netlist::Net& net : circuit.netlist.nets())
+    if (net.degree() >= 2 && nets.size() < 10) nets.push_back(net.id);
+  ASSERT_EQ(nets.size(), 10u);
+
+  const auto eco_nodes = [&](int cap, int threads) {
+    auto config = core::RouterConfig::stitch_aware();
+    config.detail.parallel_batch_cap = cap;
+    serve::ResidentDesign resident(
+        netlist::Design{circuit.grid, circuit.netlist}, config);
+    exec::ThreadPool pool(threads);
+    EXPECT_TRUE(resident.route_full(&pool).ok);
+    serve::EcoRequest request;
+    request.nets = nets;
+    const serve::EcoOutcome outcome = resident.eco(request, &pool);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_FALSE(outcome.fallback_full);
+    return resident.result().detail.subnet_nodes;
+  };
+  const int default_cap = detail::DetailedConfig{}.parallel_batch_cap;
+  const auto reference = eco_nodes(default_cap, 1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(eco_nodes(1, 1), reference) << "cap 1, 1 thread";
+  EXPECT_EQ(eco_nodes(default_cap, 4), reference) << "default cap, 4 threads";
+  EXPECT_EQ(eco_nodes(1, 4), reference) << "cap 1, 4 threads";
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, DetailParallelDeterminism,

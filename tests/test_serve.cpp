@@ -4,11 +4,16 @@
 // real AF_UNIX socket.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -384,6 +389,13 @@ TEST(ServeEco, EcoIsBitIdenticalToReplayOnS5378) {
   EXPECT_TRUE(outcome.verified)
       << "incremental ECO diverged from the from-scratch replay";
   EXPECT_FALSE(outcome.verify_mismatch);
+  // The ECO report carries the detail counters of its own reroute.
+  namespace keys = telemetry::keys;
+  const auto& counters = outcome.report.counters;
+  EXPECT_GT(counters.value(keys::kSubnetsRealized) +
+                counters.value(keys::kSubnetsPattern) +
+                counters.value(keys::kSubnetsAstar),
+            0);
   // The headline acceptance gate: incremental work well under a quarter of
   // the full route.
   EXPECT_LT(outcome.seconds, 0.25 * full.seconds);
@@ -723,6 +735,73 @@ TEST(ServeServer, EndToEndRouteThenEcoOverSocket) {
   server.wait();
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(ServeServer, OverlongRequestLineGetsErrorAndDisconnect) {
+  ServerConfig config;
+  config.socket_path = test_socket_path() + ".long";
+  config.lanes = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+
+  // A raw client with send/receive timeouts, so a daemon that keeps
+  // buffering fails this test instead of hanging it.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, config.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const timeval timeout{10, 0};
+  for (const int option : {SO_RCVTIMEO, SO_SNDTIMEO})
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout)), 0);
+
+  // One byte past the limit, no newline.
+  const std::string junk(kMaxLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < junk.size()) {
+    const ssize_t n =
+        ::send(fd, junk.data() + sent, junk.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the daemon may hang up before the last byte
+    sent += static_cast<std::size_t>(n);
+  }
+
+  // Exactly one error line, then the daemon closes the connection.
+  std::string received;
+  char chunk[4096];
+  bool closed = false;
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      received.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    // EOF, or a reset because the daemon dropped unread bytes; a timeout
+    // (EAGAIN) means the connection was left open.
+    closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    break;
+  }
+  ::close(fd);
+  EXPECT_TRUE(closed) << "daemon kept the connection open";
+  ASSERT_FALSE(received.empty()) << "no error line before the close";
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  const auto error = decode_response(received);
+  ASSERT_TRUE(error.has_value()) << received;
+  EXPECT_EQ(error->type, "error");
+  EXPECT_EQ(error->error, "request line too long");
+
+  // The daemon still serves other clients.
+  Client client;
+  ASSERT_TRUE(client.connect(config.socket_path));
+  const auto pong = client.call(make_request(Op::kPing, 0));
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, "ack");
+  server.stop();
 }
 
 TEST(ServeServer, SaveAndLoadStateRoundTripOverSocket) {
