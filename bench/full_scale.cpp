@@ -4,11 +4,14 @@
 // coarsen–route–refine multilevel pass, and record the memory curve
 // (tiles materialized, resident bytes vs the dense estimate, peak RSS)
 // alongside runtime and quality. A second row compares multilevel against
-// the flat schedule on the same instance.
+// the flat schedule on the same instance. A third row, `pipeline`, routes
+// S5378@full_scale end to end (global, layer, track, detail) and holds it
+// to a fixed peak-RSS budget: the harness exits 1 when the process peak
+// exceeds kPipelineRssBudgetKb.
 //
 //   full_scale [--threads N] [--json FILE] [--trace FILE] [--stats FILE]
 //
-// MEBL_FULL_SCALE_CIRCUIT selects the spec (default S38417).
+// MEBL_FULL_SCALE_CIRCUIT selects the global rows' spec (default S38417).
 
 #include <sys/resource.h>
 
@@ -16,12 +19,17 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "core/stitch_router.hpp"
 #include "exec/thread_pool.hpp"
 #include "global/global_router.hpp"
 #include "netlist/decompose.hpp"
 #include "telemetry/keys.hpp"
 
 namespace {
+
+/// Peak-RSS budget of the whole harness process, checked after the
+/// pipeline row (the last and largest one): 512 MiB.
+constexpr long kPipelineRssBudgetKb = 512L * 1024;
 
 /// Max resident set of this process so far, in kilobytes (getrusage;
 /// /usr/bin/time -v reports the same number — bench/peak_mem.sh merges the
@@ -135,6 +143,36 @@ int main(int argc, char** argv) {
     report_scope.add("full_scale", "multilevel_vs_flat", std::move(metrics));
   }
 
+  // Pipeline row: paper-scale S5378 through every stage, tiled grid plus
+  // multilevel, so the detail stage's memory shows in the process peak.
+  const auto* pipeline_spec = bench_suite::find_spec("S5378");
+  const auto pipeline_circuit = bench_suite::generate_circuit(
+      *pipeline_spec, generator_config, bench_common::kSeed);
+  timer.reset();
+  core::StitchAwareRouter pipeline_router(
+      pipeline_circuit.grid, pipeline_circuit.netlist,
+      core::RouterConfig::stitch_aware()
+          .with_threads(bench_common::threads_from_args(argc, argv))
+          .with_tiled_grid(true)
+          .with_multilevel(true));
+  const auto pipeline = pipeline_router.run();
+  const double pipeline_seconds = timer.seconds();
+  const long pipeline_rss_kb = peak_rss_kb();
+  {
+    report::Json::Object metrics =
+        report::QualitySummary::from(pipeline, pipeline_seconds).to_metrics();
+    metrics["global_s"] = pipeline.times.global_seconds;
+    metrics["layer_s"] = pipeline.times.layer_seconds;
+    metrics["track_s"] = pipeline.times.track_seconds;
+    metrics["detail_s"] = pipeline.times.detail_seconds;
+    metrics["peak_rss_kb"] = static_cast<std::int64_t>(pipeline_rss_kb);
+    for (const auto& [name, value] : pipeline.stats().counters)
+      if (name.starts_with("detail.storage."))
+        metrics[name.substr(sizeof("detail.storage.") - 1)] = value;
+    report_scope.add(pipeline_spec->name + "@full_scale", "pipeline",
+                     std::move(metrics));
+  }
+
   util::Table table("Circuit", "Tracks", "Subnets", "WL", "TVOF", "CPU(s)",
                     "RSS(MB)", "Tiles", "Materialized", "TileFrac", "MemFrac");
   table.add_row(
@@ -157,10 +195,35 @@ int main(int argc, char** argv) {
             << "x); coarse nets " << coarse_nets << ", corridor hits "
             << corridor_hits << ", fallbacks " << corridor_fallbacks << "\n";
 
+  util::Table pipeline_table("Circuit", "Tracks", "Rout.(%)", "WL", "#VIA",
+                             "#VV", "#SP", "G/L/T/D (s)", "RSS(MB)");
+  pipeline_table.add_row(
+      pipeline_spec->name + "@full_scale",
+      std::to_string(pipeline_circuit.grid.width()) + "x" +
+          std::to_string(pipeline_circuit.grid.height()),
+      util::Table::fixed(pipeline.metrics.routability_pct(), 2),
+      std::to_string(pipeline.metrics.wirelength),
+      std::to_string(pipeline.metrics.vias),
+      std::to_string(pipeline.metrics.via_violations),
+      std::to_string(pipeline.metrics.short_polygons),
+      util::Table::fixed(pipeline.times.global_seconds, 2) + "/" +
+          util::Table::fixed(pipeline.times.layer_seconds, 2) + "/" +
+          util::Table::fixed(pipeline.times.track_seconds, 2) + "/" +
+          util::Table::fixed(pipeline.times.detail_seconds, 2),
+      std::to_string(pipeline_rss_kb >= 0 ? pipeline_rss_kb / 1024 : -1));
+  std::cout << "\n"
+            << pipeline_table.str("Full-scale pipeline (all four stages)");
+
   if (memory_fraction >= 0.25) {
     std::cerr << "full_scale: WARNING memory_fraction "
               << util::Table::fixed(memory_fraction, 4)
               << " >= 0.25 of the dense estimate\n";
+  }
+  if (pipeline_rss_kb > kPipelineRssBudgetKb) {
+    std::cerr << "full_scale: FAIL peak RSS " << pipeline_rss_kb / 1024
+              << " MiB exceeds the " << kPipelineRssBudgetKb / 1024
+              << " MiB pipeline budget\n";
+    return 1;
   }
   return 0;
 }

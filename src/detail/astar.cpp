@@ -79,12 +79,13 @@ struct HeapWorse {
 }  // namespace
 
 void AStarRouter::add_node_penalty(Point3 node, double penalty) {
-  if (node_penalty_.empty())
-    node_penalty_.assign(
-        static_cast<std::size_t>(grid_->routing_grid().num_layers()) *
-            grid_->routing_grid().width() * grid_->routing_grid().height(),
-        0.0);
-  node_penalty_[grid_->index(node)] += penalty;
+  columns_[static_cast<std::size_t>(node.x)].guarded = 1;
+  // Accumulate from 0.0 exactly as a dense per-node array would, so every
+  // search cost is bit-identical; an entry that cancels to zero reads as
+  // absent, as the dense zero did.
+  const auto it = guards_.try_emplace(grid_->index(node), 0.0).first;
+  it->second += penalty;
+  if (it->second == 0.0) guards_.erase(it);
 }
 
 bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
@@ -105,6 +106,11 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
     scratch.g_cost.resize(num_states);
     scratch.parent.resize(num_states);
     scratch.epoch = 0;
+  }
+  std::size_t peak = scratch_peak_states_.load(std::memory_order_relaxed);
+  while (scratch.stamp.size() > peak &&
+         !scratch_peak_states_.compare_exchange_weak(
+             peak, scratch.stamp.size(), std::memory_order_relaxed)) {
   }
   ++scratch.epoch;
   const std::uint32_t epoch = scratch.epoch;
@@ -151,9 +157,7 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   const Column* const columns = columns_.data();
   // Static node penalties apply only with the stitch costs on (they guard
   // short-polygon sites, a stitch-only concern).
-  const double* const penalties =
-      config_.stitch_cost && !node_penalty_.empty() ? node_penalty_.data()
-                                                    : nullptr;
+  const bool guards = config_.stitch_cost && !guards_.empty();
   const double via_step = config_.alpha * config_.via_length;
   const double wire_step = config_.alpha;
   const double beta_scaled = beta_scale_ * config_.beta;
@@ -235,9 +239,9 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
         step = z_move ? via_step + beta_scaled * qc.unfriendly  // C_vsu
                       : wire_step;
         step += qc.escape_cost;  // C_esc
-        if (penalties != nullptr) {
-          const double pen = penalties[grid_->index(q)];
-          if (pen != 0.0) step += beta_scale_ * pen;
+        if (guards && qc.guarded != 0) {
+          const auto it = guards_.find(grid_->index(q));
+          if (it != guards_.end()) step += beta_scale_ * it->second;
         }
         if (foreign) step += foreign_penalty;
       }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "detail/grid_graph.hpp"
@@ -55,7 +57,8 @@ struct SearchScratch {
 /// The expansion kernel is branch-light: escape cost, unfriendly-region
 /// surcharge, and the via / vertical-move legality flags are pure functions
 /// of the column x, precomputed into one per-column table at construction;
-/// static node penalties live in a flat array indexed by grid node. The
+/// the few static node penalties live in a small map keyed by grid node,
+/// consulted only on columns flagged as guarded. The
 /// open list breaks f-ties toward higher g (deeper nodes), which preserves
 /// admissibility but cuts re-expansions markedly.
 class AStarRouter {
@@ -79,8 +82,20 @@ class AStarRouter {
 
   /// Add a static extra cost on a node (e.g. the line-crossing positions
   /// next to stitch-unfriendly pins, where a crossing wire would become a
-  /// short polygon). Cumulative.
+  /// short polygon). Cumulative; a penalty that sums back to zero is
+  /// dropped. Sequential phases only, like set_beta_scale.
   void add_node_penalty(geom::Point3 node, double penalty);
+
+  /// Nodes that currently carry a non-zero static penalty.
+  [[nodiscard]] std::size_t guard_nodes() const noexcept {
+    return guards_.size();
+  }
+
+  /// Largest SearchScratch any search on this router ran with, in bytes
+  /// (16 B per box state: stamp, g-cost and parent).
+  [[nodiscard]] std::size_t scratch_peak_bytes() const noexcept {
+    return scratch_peak_states_.load(std::memory_order_relaxed) * 16;
+  }
 
   /// Temporarily scale the beta (via-in-unfriendly-region) term; the SP
   /// cleanup pass uses this to reroute offenders more strictly. Sequential
@@ -98,6 +113,7 @@ class AStarRouter {
     double unfriendly = 0.0;   ///< 1.0 when in an unfriendly region (stitch on)
     std::uint8_t via_ok = 1;   ///< via legal here (off stitching lines)
     std::uint8_t vmove_ok = 1; ///< vertical move legal here
+    std::uint8_t guarded = 0;  ///< some node here ever got a static penalty
   };
 
   const GridGraph* grid_;
@@ -107,9 +123,10 @@ class AStarRouter {
   /// True when routing layer `l` runs horizontally (index 0 = pin layer).
   std::vector<std::uint8_t> layer_horizontal_;
   double beta_scale_ = 1.0;
-  /// Static per-node penalties, flat-indexed by GridGraph::index. Allocated
-  /// on the first add_node_penalty so penalty-free runs pay nothing.
-  std::vector<double> node_penalty_;
+  /// Non-zero static per-node penalties, keyed by GridGraph::index.
+  std::unordered_map<std::size_t, double> guards_;
+  /// Largest scratch state count seen by search() (scratch_peak_bytes).
+  mutable std::atomic<std::size_t> scratch_peak_states_{0};
 
   // Telemetry endpoints, resolved once at construction (stable addresses,
   // thread-safe sinks).

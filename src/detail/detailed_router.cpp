@@ -91,9 +91,7 @@ void DetailedRouter::release_pin(Point pos) {
 }
 
 void DetailedRouter::claim_pins(const netlist::Netlist& netlist) {
-  const auto& rg = grid_->routing_grid();
-  pin_nodes_.reset(static_cast<std::size_t>(rg.num_layers()) * rg.width() *
-                   rg.height());
+  pin_nodes_.reset(grid_->index_space());
   for (const auto& pin : netlist.pins()) reserve_pin(pin.net, pin.pos);
 }
 
@@ -822,6 +820,17 @@ void DetailedRouter::route_and_repair(const std::vector<std::size_t>& order,
                                result_->subnet_routed.end(), true);
   result_->failed =
       static_cast<std::int64_t>(subnets_->size()) - result_->routed;
+
+  // Storage telemetry (execution-dependent by prefix; see keys.hpp).
+  const auto record = [](const char* key, std::size_t value) {
+    telemetry::counter(key).add(static_cast<std::int64_t>(value));
+  };
+  namespace keys = telemetry::keys;
+  record(keys::kDetailOwnerReservedBytes, grid_->owner_reserved_bytes());
+  record(keys::kDetailOwnerBlocksTouched, grid_->owner_blocks_touched());
+  record(keys::kDetailPinSetBytes, pin_nodes_.bytes());
+  record(keys::kDetailGuardNodes, astar_.guard_nodes());
+  record(keys::kDetailScratchPeakBytes, astar_.scratch_peak_bytes());
 }
 
 DetailedResult DetailedRouter::route_all(

@@ -1,70 +1,66 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace mebl::detail {
 
-/// Epoch-stamped membership bitmap over grid-node indices.
+/// Membership set over grid-node indices, one bit per node.
 ///
 /// Replaces unordered_set<std::size_t> on the detailed-routing hot paths:
-/// test() is one array load instead of a hash probe, and clear() is O(1)
-/// (bumping the epoch invalidates every stamp at once). Memory is one
-/// uint32 per grid node, sized once by reset().
+/// test() is one word load instead of a hash probe, and the whole set costs
+/// index_space / 8 bytes, sized once by reset().
 class NodeBitmap {
  public:
   NodeBitmap() = default;
   explicit NodeBitmap(std::size_t size) { reset(size); }
 
-  /// Size the bitmap to `size` nodes and clear it.
+  /// Size the set to `size` nodes and empty it.
   void reset(std::size_t size) {
-    stamp_.assign(size, 0);
-    epoch_ = 1;
+    words_.assign((size + kWordBits - 1) / kWordBits, 0);
+    size_ = size;
     count_ = 0;
-  }
-
-  /// Remove every member in O(1).
-  void clear() {
-    ++epoch_;
-    count_ = 0;
-    if (epoch_ == 0) {  // stamp wrap-around: start a fresh generation
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
   }
 
   void set(std::size_t index) {
-    auto& s = stamp_[index];
-    if (s != epoch_) {
-      s = epoch_;
+    std::uint64_t& word = words_[index / kWordBits];
+    const std::uint64_t bit = mask(index);
+    if ((word & bit) == 0) {
+      word |= bit;
       ++count_;
     }
   }
 
-  /// Remove one member; no-op when absent. (Stamp 0 is never the current
-  /// epoch, so zeroing is an unambiguous "not set".)
+  /// Remove one member; no-op when absent or out of range.
   void unset(std::size_t index) {
-    if (index < stamp_.size() && stamp_[index] == epoch_) {
-      stamp_[index] = 0;
-      --count_;
-    }
+    if (!test(index)) return;
+    words_[index / kWordBits] &= ~mask(index);
+    --count_;
   }
 
   /// Out-of-range indices read as not-set, so an unsized bitmap behaves
   /// like an empty set (matching the unordered_set it replaced).
   [[nodiscard]] bool test(std::size_t index) const {
-    return index < stamp_.size() && stamp_[index] == epoch_;
+    return index < size_ && (words_[index / kWordBits] & mask(index)) != 0;
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return stamp_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Heap bytes of the bit storage.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return words_.size() * sizeof(std::uint64_t);
+  }
 
  private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 1;
+  static constexpr std::size_t kWordBits = 64;
+  static std::uint64_t mask(std::size_t index) noexcept {
+    return std::uint64_t{1} << (index % kWordBits);
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
   std::size_t count_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -242,6 +243,9 @@ void Server::io_loop() {
     if ((fds[0].revents & POLLIN) != 0) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd >= 0) {
+        const timeval send_timeout{kSendTimeoutSeconds, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                     sizeof(send_timeout));
         std::lock_guard<std::mutex> lock(conn_mutex_);
         connections_[static_cast<std::uint64_t>(fd)] = Connection{fd, {}};
       }
@@ -827,8 +831,16 @@ void Server::send_response(std::uint64_t client, const Response& response) {
   while (sent < line.size()) {
     const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
                              MSG_NOSIGNAL);
-    if (n <= 0) return;  // disconnect; the I/O loop will reap the fd
-    sent += static_cast<std::size_t>(n);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      util::log_warn() << "serve: client " << client << " read nothing for "
+                       << kSendTimeoutSeconds << " s; disconnecting";
+      ::shutdown(fd, SHUT_RDWR);  // the I/O loop sees EOF and reaps it
+    }
+    return;  // disconnect; the I/O loop will reap the fd
   }
 }
 

@@ -43,6 +43,12 @@ namespace mebl::serve {
 /// its jobs are cancelled, and the connection is dropped.
 inline constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
 
+/// Longest a response write may go without progress. A client that reads
+/// nothing for this long (its socket buffers full) is dropped with a WARN,
+/// so one stalled reader cannot hold the daemon-wide write lock — or the
+/// I/O loop that answers inline requests — indefinitely.
+inline constexpr int kSendTimeoutSeconds = 5;
+
 struct ServerConfig {
   /// AF_UNIX socket path; bound on start(), unlinked on stop().
   std::string socket_path;
@@ -143,7 +149,9 @@ class Server {
                     double wait_seconds, double run_seconds) const;
 
   /// Write one response line to the client; silently drops it when the
-  /// connection is gone (disconnected mid-job).
+  /// connection is gone (disconnected mid-job). A write that makes no
+  /// progress for kSendTimeoutSeconds shuts the connection down (the I/O
+  /// loop then reaps it and cancels its jobs).
   void send_response(std::uint64_t client, const Response& response);
   void drop_connection(std::uint64_t client);
   void wake_io();

@@ -85,6 +85,23 @@ inline constexpr char kDetailSequentialSubnets[] =
 inline constexpr char kDetailEscalations[] = "detail.parallel.escalations";
 inline constexpr char kDetailRecomputed[] = "detail.parallel.recomputed";
 
+// detail-stage storage (DESIGN.md §15). Like grid.*, these describe the
+// *representation* — bytes reserved for the owner slots, how many of their
+// 4 KiB blocks were ever written, the pin-set bitmap, the guarded nodes and
+// the largest per-thread A* scratch — not the routed result. A thread keeps
+// its scratch at the largest box it ever searched, so the scratch peak also
+// depends on what the process routed before. The whole prefix is
+// execution-dependent, and canonical report bytes stay invariant under
+// storage changes that route identically.
+inline constexpr char kDetailOwnerReservedBytes[] =
+    "detail.storage.owner_reserved_bytes";
+inline constexpr char kDetailOwnerBlocksTouched[] =
+    "detail.storage.owner_blocks_touched";
+inline constexpr char kDetailPinSetBytes[] = "detail.storage.pin_set_bytes";
+inline constexpr char kDetailGuardNodes[] = "detail.storage.guard_nodes";
+inline constexpr char kDetailScratchPeakBytes[] =
+    "detail.storage.astar_scratch_peak_bytes";
+
 // evaluation — the paper's quality metrics as stable counter names, recorded
 // inside the metrics stage so stage-boundary observers (report builders) see
 // them in that stage's delta and in RoutingResult::stats().
@@ -141,16 +158,18 @@ inline constexpr char kFlightDroppedEvents[] =
 /// Counters that measure the execution environment (wall-clock timings,
 /// per-worker cache warm starts, where a deadline or a shared-incumbent
 /// search happened to be cut off, serving-layer traffic, pool scheduling,
-/// grid-storage representation, telemetry self-observation) rather than
-/// routing decisions: their values legitimately vary with the thread count,
-/// the machine, or the storage mode, so the canonical (include_timing =
-/// false) run-report form excludes them to keep its cross-thread /
-/// cross-representation byte-identity contract (DESIGN.md §8, §15).
+/// global and detail storage representation, telemetry self-observation)
+/// rather than routing decisions: their values legitimately vary with the
+/// thread count, the machine, or the storage mode, so the canonical
+/// (include_timing = false) run-report form excludes them to keep its
+/// cross-thread / cross-representation byte-identity contract (DESIGN.md
+/// §8, §15).
 [[nodiscard]] inline bool execution_dependent(std::string_view name) {
   return name.ends_with("_ns") || name == kGlobalScratchReuses ||
          name == kTrackIlpNodes || name == kTrackIlpFallbacks ||
          name == kTrackIlpBudgetHits || name.starts_with("serve.") ||
          name.starts_with("exec.pool.") || name.starts_with("grid.") ||
+         name.starts_with("detail.storage.") ||
          name.starts_with("telemetry.");
 }
 

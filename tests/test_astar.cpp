@@ -178,8 +178,7 @@ TEST(AStar, ProbeCrossesForeignWithoutClaiming) {
 TEST(AStar, ProbeRespectsHardNodes) {
   const auto rg = make_grid(60, 60, 2);
   GridGraph grid(rg);
-  NodeBitmap hard(static_cast<std::size_t>(rg.num_layers()) * rg.width() *
-                  rg.height());
+  NodeBitmap hard(grid.index_space());
   for (Coord y = 0; y < 60; ++y)
     for (geom::LayerId l = 1; l <= 2; ++l) {
       grid.claim({6, y, l}, 99);
@@ -207,6 +206,23 @@ TEST(AStar, NodePenaltySteersPath) {
   for (const Point3 p : scratch.path)
     if (p.layer >= 1 && p.y != 5) left_row = true;
   EXPECT_TRUE(left_row);
+}
+
+TEST(AStar, CancelledGuardGivesThePathOfNoGuard) {
+  const auto rg = make_grid();
+  GridGraph grid(rg);
+  SearchScratch scratch;
+  const AStarRouter plain(grid, {});
+  ASSERT_TRUE(plain.search(scratch, 0, {2, 5}, {12, 5}, rg.extent()));
+  const std::vector<Point3> unguarded = scratch.path;
+
+  AStarRouter guarded(grid, {});
+  for (Coord x = 3; x <= 11; ++x) guarded.add_node_penalty({x, 5, 1}, 40.0);
+  EXPECT_EQ(guarded.guard_nodes(), 9u);
+  for (Coord x = 3; x <= 11; ++x) guarded.add_node_penalty({x, 5, 1}, -40.0);
+  EXPECT_EQ(guarded.guard_nodes(), 0u);
+  ASSERT_TRUE(guarded.search(scratch, 0, {2, 5}, {12, 5}, rg.extent()));
+  EXPECT_EQ(scratch.path, unguarded);
 }
 
 TEST(AStar, TracksNodesExpanded) {

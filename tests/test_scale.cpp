@@ -6,12 +6,15 @@
 // corridor-confined searches refuse paths outside the corridor and the
 // router falls back to the full grid, and the multilevel pass routes
 // everything deterministically — including through the serving layer's
-// incremental-ECO replay gate.
+// incremental-ECO replay gate. The detail stage's occupancy costs memory
+// only where routing writes (pin claims at full scale stay far below the
+// dense W x H x L footprint).
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 
 #include "bench_suite/circuit_generator.hpp"
 #include "core/stitch_router.hpp"
+#include "detail/detailed_router.hpp"
 #include "exec/thread_pool.hpp"
 #include "global/global_router.hpp"
 #include "global/search_scratch.hpp"
@@ -392,6 +396,54 @@ TEST(ScaleServe, EcoVerifyReplayPassesOnTiledMultilevelGrid) {
   EXPECT_TRUE(outcome.verified)
       << "tiled-grid ECO diverged from the from-scratch replay";
   EXPECT_FALSE(outcome.verify_mismatch);
+}
+
+// ------------------------------------------------ detail-stage storage
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MEBL_SCALE_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MEBL_SCALE_SANITIZED 1
+#endif
+
+/// Current resident set of this process in KiB (VmRSS), -1 when unknown.
+long vm_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
+/// The detail occupancy at paper scale is demand-paged: building the grid
+/// graph and claiming every pin of S5378@full_scale (6060 x 3330 tracks x 4
+/// layers, 80.7 M nodes) must not fault in the dense per-node arrays, which
+/// would cost well over a gigabyte.
+TEST(DetailStorage, FullScalePinClaimsStayFarBelowDenseFootprint) {
+#if !defined(__linux__) || defined(MEBL_SCALE_SANITIZED)
+  GTEST_SKIP() << "needs /proc/self/status and an unsanitized allocator";
+#else
+  const auto* spec = bench_suite::find_spec("S5378");
+  ASSERT_NE(spec, nullptr);
+  const auto circuit = bench_suite::generate_circuit(
+      *spec, bench_suite::GeneratorConfig::full_scale(), kSeed);
+  const long before_kb = vm_rss_kb();
+  ASSERT_GT(before_kb, 0);
+
+  detail::GridGraph grid(circuit.grid);
+  detail::DetailedRouter router(grid);
+  router.claim_pins(circuit.netlist);
+  const long growth_mb = (vm_rss_kb() - before_kb) / 1024;
+
+  EXPECT_GT(grid.occupied_nodes(), 0);
+  EXPECT_GE(grid.index_space(), static_cast<std::size_t>(circuit.grid.width()) *
+                                    circuit.grid.height() *
+                                    circuit.grid.num_layers());
+  EXPECT_LT(growth_mb, 64) << "detail storage grew VmRSS by " << growth_mb
+                           << " MB";
+#endif
 }
 
 }  // namespace

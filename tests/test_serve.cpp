@@ -737,6 +737,28 @@ TEST(ServeServer, EndToEndRouteThenEcoOverSocket) {
   EXPECT_FALSE(server.running());
 }
 
+/// A raw client socket connected to `path` with send/receive timeouts of
+/// `seconds`, so a misbehaving daemon fails a test instead of hanging it.
+/// -1 on failure.
+int connect_raw(const std::string& path, int seconds) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const timeval timeout{seconds, 0};
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)) !=
+          0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(ServeServer, OverlongRequestLineGetsErrorAndDisconnect) {
   ServerConfig config;
   config.socket_path = test_socket_path() + ".long";
@@ -744,21 +766,8 @@ TEST(ServeServer, OverlongRequestLineGetsErrorAndDisconnect) {
   Server server(config);
   ASSERT_TRUE(server.start());
 
-  // A raw client with send/receive timeouts, so a daemon that keeps
-  // buffering fails this test instead of hanging it.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(config.socket_path, 10);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, config.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const timeval timeout{10, 0};
-  for (const int option : {SO_RCVTIMEO, SO_SNDTIMEO})
-    ASSERT_EQ(
-        ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout)), 0);
 
   // One byte past the limit, no newline.
   const std::string junk(kMaxLineBytes + 1, 'x');
@@ -801,6 +810,53 @@ TEST(ServeServer, OverlongRequestLineGetsErrorAndDisconnect) {
   const auto pong = client.call(make_request(Op::kPing, 0));
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->type, "ack");
+  server.stop();
+}
+
+// A client that floods requests and never reads its replies fills its
+// socket buffers; the daemon must give up on it instead of blocking its
+// I/O loop, so another client's ping is still answered.
+TEST(ServeServer, StalledReaderDoesNotBlockOtherClients) {
+  ServerConfig config;
+  config.socket_path = test_socket_path() + ".stall";
+  config.lanes = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+
+  // Client A sends pings until its own send times out (both socket buffers
+  // full) or fails (the daemon dropped it); it never reads.
+  const int stalled = connect_raw(config.socket_path, 1);
+  ASSERT_GE(stalled, 0);
+  std::string pings;
+  for (int i = 0; i < 1000; ++i) pings += R"({"op":"ping","id":1})" "\n";
+  for (std::size_t total = 0; total < (std::size_t{64} << 20);) {
+    const ssize_t n =
+        ::send(stalled, pings.data(), pings.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    total += static_cast<std::size_t>(n);
+  }
+
+  // Client B's ping must still come back.
+  const int fd = connect_raw(config.socket_path, 20);
+  ASSERT_GE(fd, 0);
+  const std::string ping = R"({"op":"ping","id":7})" "\n";
+  ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  std::string received;
+  char chunk[256];
+  while (received.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;  // timeout: the daemon is stuck on client A
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  // Closing A last unblocks a daemon stuck on it, so stop() can return.
+  ::close(stalled);
+  const auto pong = decode_response(received);
+  ASSERT_TRUE(pong.has_value()) << "no reply to client B: '" << received
+                                << "'";
+  EXPECT_EQ(pong->type, "ack");
+  EXPECT_EQ(pong->id, 7);
   server.stop();
 }
 
