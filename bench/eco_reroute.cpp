@@ -5,12 +5,21 @@
 // the serving layer's <25%-of-full-route acceptance gate reads. Emits a
 // mebl.bench_report row (S5378, eco_reroute) plus one row per batch size,
 // so `mebl_report diff` can gate the incremental path like any table.
+//
+// A last row (S5378, eco_steady) measures the steady state of a resident
+// daemon design: one resident serves a fixed stream of 20 ECOs of 10 nets,
+// so the repair memo (DESIGN.md §9) carries over from ECO to ECO. Its
+// median eco_seconds is information only; the memo's skip count and the
+// stream's final quality are deterministic and gated exactly.
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "serve/resident_design.hpp"
+#include "telemetry/keys.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -66,6 +75,59 @@ EcoSample BM_EcoReroute(const mebl::bench_suite::BenchmarkSpec& spec,
           outcome.fallback_full};
 }
 
+struct SteadySample {
+  double median_seconds = 0.0;
+  std::int64_t memo_skips = 0;
+  mebl::eval::RouteMetrics final_metrics;
+};
+
+/// One resident, kSteadyEcos ECOs of kSteadyNets nets each, drawn from the
+/// routable nets by a fixed seed.
+SteadySample BM_EcoSteady(const mebl::bench_suite::BenchmarkSpec& spec,
+                          int threads) {
+  using namespace mebl;
+  constexpr int kSteadyEcos = 20;
+  constexpr std::size_t kSteadyNets = 10;
+  auto circuit = bench_common::generate(spec);
+  serve::ResidentDesign resident(
+      netlist::Design{circuit.grid, std::move(circuit.netlist)},
+      core::RouterConfig::stitch_aware().with_threads(threads));
+  if (!resident.route_full().ok) {
+    std::cerr << "[eco_reroute] steady full route failed\n";
+    std::exit(1);
+  }
+  const auto candidates = routable_nets(
+      resident.design().netlist, resident.design().netlist.num_nets());
+  util::Rng rng(20130602u);
+  SteadySample sample;
+  std::vector<double> seconds;
+  for (int eco = 0; eco < kSteadyEcos; ++eco) {
+    serve::EcoRequest request;
+    while (request.nets.size() < kSteadyNets) {
+      const auto last = static_cast<std::int64_t>(candidates.size()) - 1;
+      const netlist::NetId net =
+          candidates[static_cast<std::size_t>(rng.uniform_int(0, last))];
+      if (std::find(request.nets.begin(), request.nets.end(), net) ==
+          request.nets.end())
+        request.nets.push_back(net);
+    }
+    const serve::EcoOutcome outcome = resident.eco(request);
+    if (!outcome.ok) {
+      std::cerr << "[eco_reroute] steady eco failed: " << outcome.error
+                << "\n";
+      std::exit(1);
+    }
+    seconds.push_back(outcome.seconds);
+    namespace keys = telemetry::keys;
+    sample.memo_skips += outcome.report.counters.value(keys::kMemoSpSkips) +
+                         outcome.report.counters.value(keys::kMemoProbeSkips);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  sample.median_seconds = seconds[seconds.size() / 2];
+  sample.final_metrics = resident.result().metrics;
+  return sample;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,8 +175,26 @@ int main(int argc, char** argv) {
                      std::move(metrics));
   }
 
+  const SteadySample steady = BM_EcoSteady(*spec, threads);
+  {
+    const auto& m = steady.final_metrics;
+    report::Json::Object metrics;
+    metrics["batch_nets"] = std::int64_t{10};
+    metrics["ecos"] = std::int64_t{20};
+    metrics["eco_seconds"] = steady.median_seconds;
+    metrics["memo_skips"] = steady.memo_skips;
+    metrics["final_short_polygons"] = std::int64_t{m.short_polygons};
+    metrics["final_via_violations"] = std::int64_t{m.via_violations};
+    metrics["final_vias"] = std::int64_t{m.vias};
+    metrics["final_wirelength"] = m.wirelength;
+    report_scope.add(spec->name, "eco_steady", std::move(metrics));
+  }
+
   std::cout << table.str("BM_EcoReroute: incremental reroute vs. full route "
                          "(S5378)")
+            << "Steady state (one resident, 20 ECOs x 10 nets): median ECO "
+            << util::Table::fixed(steady.median_seconds, 3) << " s, "
+            << steady.memo_skips << " repair-memo skips\n"
             << "\nServing-layer gate: the 10-net ECO must stay under 0.25x "
                "the full route (measured "
             << util::Table::fixed(headline_ratio, 3) << "x)\n";

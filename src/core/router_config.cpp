@@ -8,7 +8,10 @@ assign::StageConfig RouterConfig::stage_config() const {
   stage.track = track_algorithm;
   stage.ilp = ilp;
   stage.ilp.node_budget = ilp_node_budget;
-  stage.ilp.warm_start = ilp_warm_start;
+  // Every panel's ILP starts from the graph heuristic's assignment (initial
+  // incumbent + branch hint): pruning starts at the heuristic cost instead
+  // of +inf, usually a large node-count cut at identical objective value.
+  stage.ilp.warm_start = true;
   stage.ilp_budget_seconds = ilp_budget_seconds;
   return stage;
 }

@@ -54,10 +54,6 @@ struct RouterConfig {
   /// any thread count and on any machine. This is what the mebl_serve ECO
   /// path uses so node-budgeted ILP reroutes pass the replay verify gate.
   std::int64_t ilp_node_budget = 0;
-  /// Seed each panel's ILP with the graph heuristic's assignment (initial
-  /// incumbent + branch hint). Pruning starts at the heuristic cost instead
-  /// of +inf — usually a large node-count cut at identical objective value.
-  bool ilp_warm_start = true;
   detail::DetailedConfig detail;
   /// Worker threads for the parallel pipeline stages (panel-parallel
   /// layer/track assignment, net-batch-parallel global routing,
@@ -90,11 +86,6 @@ struct RouterConfig {
   /// and drop every wall-clock ILP limit (see ilp_node_budget above).
   RouterConfig& with_ilp_node_budget(std::int64_t nodes) {
     ilp_node_budget = nodes;
-    return *this;
-  }
-  /// Toggle graph-heuristic warm starts for the per-panel ILP solves.
-  RouterConfig& with_ilp_warm_start(bool enabled) {
-    ilp_warm_start = enabled;
     return *this;
   }
   /// Tiled/sparse congestion storage for global routing (DESIGN.md §15):

@@ -65,6 +65,10 @@ void DetailedRouter::reserve_pin(netlist::NetId net, Point pos) {
   grid_->claim(access, net);
   pin_nodes_.set(grid_->index(pad));
   pin_nodes_.set(grid_->index(access));
+  // The pin set and the guards are read with the grid (rescue probe, A*
+  // costs), so their changes go into the change log too.
+  grid_->touch(pad);
+  grid_->touch(access);
 
   // Short-polygon guard: the pin's via is fixed. If the pin sits inside a
   // stitch unfriendly region, a horizontal wire leaving it *across* the
@@ -74,6 +78,7 @@ void DetailedRouter::reserve_pin(netlist::NetId net, Point pos) {
   // few tracks), so it is priced well above a single beta.
   for_each_pin_guard_node(grid_->routing_grid(), pos, [&](Point3 p) {
     astar_.add_node_penalty(p, 4.0 * config_.astar.beta);
+    grid_->touch(p);
   });
 }
 
@@ -84,9 +89,12 @@ void DetailedRouter::release_pin(Point pos) {
   grid_->release(access);
   pin_nodes_.unset(grid_->index(pad));
   pin_nodes_.unset(grid_->index(access));
+  grid_->touch(pad);
+  grid_->touch(access);
   // Penalties are cumulative, so the negative exactly cancels the guard.
   for_each_pin_guard_node(grid_->routing_grid(), pos, [&](Point3 p) {
     astar_.add_node_penalty(p, -4.0 * config_.astar.beta);
+    grid_->touch(p);
   });
 }
 
@@ -567,27 +575,46 @@ std::vector<std::size_t> DetailedRouter::rip_net(netlist::NetId net) {
   return ripped;
 }
 
-void DetailedRouter::rescue_failed(exec::ThreadPool* pool) {
+Rect DetailedRouter::probe_box(std::size_t idx) const {
+  return (*subnets_)[idx]
+      .bbox()
+      .inflated(config_.base_margin * 8)
+      .intersect(grid_->routing_grid().extent());
+}
+
+void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
   TELEMETRY_SPAN("detail.rescue");
-  telemetry::Counter& rescued =
-      telemetry::counter(telemetry::keys::kRipupRescued);
-  telemetry::Counter& victims_count =
-      telemetry::counter(telemetry::keys::kRipupVictims);
+  namespace keys = telemetry::keys;
+  telemetry::Counter& rescued = telemetry::counter(keys::kRipupRescued);
+  telemetry::Counter& victims_count = telemetry::counter(keys::kRipupVictims);
+  telemetry::Counter& probe_skips = telemetry::counter(keys::kMemoProbeSkips);
   const auto& subnets = *subnets_;
-  const Rect extent = grid_->routing_grid().extent();
+  // One transaction over the whole phase: a rescue that a later one undoes
+  // (the limit cycle of two subnets that keep trading places) leaves no
+  // trace in the change log.
+  if (incremental) grid_->begin_transaction();
+  std::vector<std::size_t> probed;  // memos recorded inside the transaction
   for (int round = 0; round < config_.ripup_rounds; ++round) {
     std::vector<std::size_t> failed;
     for (std::size_t i = 0; i < subnets.size(); ++i)
       if (!result_->subnet_routed[i]) failed.push_back(i);
-    if (failed.empty()) return;
+    if (failed.empty()) break;
 
     bool progress = false;
     for (const std::size_t idx : failed) {
       if (result_->subnet_routed[idx]) continue;  // rescued as a rip victim
       const auto& subnet = subnets[idx];
-      const Rect box = subnet.bbox()
-                           .inflated(config_.base_margin * 8)
-                           .intersect(extent);
+      const Rect box = probe_box(idx);
+      ProbeMemo& memo = probe_memo_[idx];
+      if (memo.valid && memo.a == subnet.a && memo.b == subnet.b &&
+          grid_->last_change(box) <= memo.seq) {
+        probe_skips.add(1);
+        continue;
+      }
+      // A probe reads only the owners, pin set and guards inside its box:
+      // the same inputs give the same path and the same blockers.
+      memo = {true, grid_->seq(), subnet.a, subnet.b};
+      probed.push_back(idx);
       if (!astar_.search(tl_scratch, subnet.net, subnet.a, subnet.b, box,
                          config_.ripup_foreign_penalty, &pin_nodes_))
         continue;
@@ -600,6 +627,7 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool) {
       if (blockers.empty() ||
           static_cast<int>(blockers.size()) > config_.ripup_max_blockers)
         continue;
+      memo.valid = false;  // this probe changes the grid
 
       std::vector<std::size_t> victims;
       for (const netlist::NetId net : blockers) {
@@ -622,8 +650,17 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool) {
                        });
       route_batches(victims, /*realized_only=*/false, pool, nullptr, {});
     }
-    if (!progress) return;
+    if (!progress) break;
   }
+  if (!incremental) return;
+  // A memo taken inside the transaction stays valid past its end only if
+  // nothing in its box changed after it (see end_transaction()).
+  for (const std::size_t idx : probed) {
+    ProbeMemo& memo = probe_memo_[idx];
+    if (memo.valid && grid_->last_change(probe_box(idx)) > memo.seq)
+      memo.valid = false;
+  }
+  grid_->end_transaction();
 }
 
 namespace {
@@ -675,9 +712,117 @@ std::vector<SpSite> short_polygon_sites(const GridGraph& grid) {
 
 }  // namespace
 
+std::vector<DetailedRouter::SubnetKey> DetailedRouter::sp_key(
+    netlist::NetId net) const {
+  std::vector<SubnetKey> key;
+  for (const std::size_t idx :
+       subnets_of_net_[static_cast<std::size_t>(net)]) {
+    const netlist::Subnet& subnet = (*subnets_)[idx];
+    SubnetKey& entry = key.emplace_back();
+    entry.a = subnet.a;
+    entry.b = subnet.b;
+    entry.routed = result_->subnet_routed[idx];
+    entry.method = result_->subnet_method[idx];
+    entry.nodes = result_->subnet_nodes[idx];
+    if (idx < plan_->runs_of_path.size())
+      for (const std::size_t id : plan_->runs_of_path[idx]) {
+        const assign::GlobalRun& run = plan_->runs[id];
+        entry.runs.push_back({run.dir, run.fixed_tile, run.span, run.layer,
+                              run.ripped, run.pieces});
+      }
+  }
+  return key;
+}
+
+std::vector<Rect> DetailedRouter::sp_read_set(netlist::NetId net) const {
+  const auto& rg = grid_->routing_grid();
+  Coord escalated = config_.base_margin;
+  for (int retry = 1; retry <= config_.max_retries; ++retry) escalated *= 4;
+  std::vector<Rect> boxes;
+  for (const std::size_t idx :
+       subnets_of_net_[static_cast<std::size_t>(net)]) {
+    const netlist::Subnet& subnet = (*subnets_)[idx];
+    boxes.push_back(
+        subnet_search_box(subnet, *plan_, idx, rg, config_.base_margin)
+            .hull(subnet.bbox().inflated(escalated).intersect(rg.extent())));
+  }
+  return boxes;
+}
+
+bool DetailedRouter::sp_memo_hit(netlist::NetId net) const {
+  const SpMemo& memo = sp_memo_[static_cast<std::size_t>(net)];
+  if (!memo.valid || memo.key != sp_key(net)) return false;
+  const std::vector<Rect> boxes = sp_read_set(net);
+  return std::all_of(boxes.begin(), boxes.end(), [&](const Rect& box) {
+    return grid_->last_change(box) <= memo.seq;
+  });
+}
+
+bool DetailedRouter::reroute_offender(netlist::NetId net,
+                                      exec::ThreadPool* pool) {
+  // The net's state before the reroute: a failed reroute is undone from it,
+  // and a reroute that ends on it changed nothing.
+  std::vector<SubnetKey> before = sp_key(net);
+  const auto& mine = subnets_of_net_[static_cast<std::size_t>(net)];
+
+  // One transaction per offender: a reroute that lands on its old geometry
+  // leaves no trace in the change log.
+  grid_->begin_transaction();
+  // Realized subnets re-realize their assigned geometry verbatim; only the
+  // search-routed ones get a fresh, stricter search. rip_net leaves
+  // subnet_method alone, so the scheduler reads the prior method.
+  const auto victims = rip_net(net);
+  route_batches(victims, /*realized_only=*/true, pool, nullptr, {});
+  const bool ok =
+      std::all_of(victims.begin(), victims.end(),
+                  [&](std::size_t idx) { return result_->subnet_routed[idx]; });
+  if (!ok) {
+    // Restore the original geometry and bookkeeping.
+    rip_net(net);
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      if (!before[k].routed) continue;
+      const std::size_t idx = mine[k];
+      for (const Point3 p : before[k].nodes) grid_->claim(p, net);
+      result_->subnet_nodes[idx] = before[k].nodes;
+      result_->subnet_routed[idx] = true;
+      result_->subnet_method[idx] = before[k].method;
+    }
+  }
+  grid_->end_transaction();
+
+  bool geometry_changed = false;
+  bool method_changed = false;
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    const std::size_t idx = mine[k];
+    geometry_changed = geometry_changed ||
+                       before[k].routed != result_->subnet_routed[idx] ||
+                       before[k].nodes != result_->subnet_nodes[idx];
+    method_changed =
+        method_changed || before[k].method != result_->subnet_method[idx];
+  }
+  namespace keys = telemetry::keys;
+  if (geometry_changed) {
+    ++result_->sp_cleanup_nets;
+    detail_counter<keys::kSpCleanupNets>().add(1);
+  } else {
+    detail_counter<keys::kSpCleanupNoopReroutes>().add(1);
+  }
+  const bool changed = geometry_changed || method_changed;
+  SpMemo& memo = sp_memo_[static_cast<std::size_t>(net)];
+  memo.valid = !changed;
+  if (!changed) {
+    memo.seq = grid_->seq();
+    memo.key = std::move(before);
+  }
+  return changed;
+}
+
 void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
   if (!config_.astar.stitch_cost) return;
   TELEMETRY_SPAN("detail.sp_cleanup");
+  namespace keys = telemetry::keys;
+  telemetry::Counter& rounds = telemetry::counter(keys::kSpCleanupRounds);
+  telemetry::Counter& sp_skips = telemetry::counter(keys::kMemoSpSkips);
   for (int round = 0; round < config_.sp_cleanup_rounds; ++round) {
     const auto sites = short_polygon_sites(*grid_);
     if (sites.empty()) return;
@@ -700,46 +845,23 @@ void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
     if (eligible.empty()) return;
     std::vector<netlist::NetId> offenders(eligible.begin(), eligible.end());
     std::sort(offenders.begin(), offenders.end());  // deterministic order
+    rounds.add(1);
+    bool round_changed = false;
     astar_.set_beta_scale(config_.sp_cleanup_beta_scale);
     for (const netlist::NetId net : offenders) {
-      // Save the net's geometry and methods so a failed reroute can be
-      // undone.
-      struct Saved {
-        std::size_t idx;
-        std::vector<Point3> nodes;
-        RouteMethod method;
-      };
-      std::vector<Saved> saved;
-      for (const std::size_t idx :
-           subnets_of_net_[static_cast<std::size_t>(net)])
-        if (result_->subnet_routed[idx])
-          saved.push_back({idx, result_->subnet_nodes[idx],
-                           result_->subnet_method[idx]});
-
-      // Realized subnets re-realize their assigned geometry verbatim; only
-      // the search-routed ones get a fresh, stricter search. rip_net leaves
-      // subnet_method alone, so the scheduler reads the prior method.
-      const auto victims = rip_net(net);
-      route_batches(victims, /*realized_only=*/true, pool, nullptr, {});
-      const bool ok = std::all_of(
-          victims.begin(), victims.end(),
-          [&](std::size_t idx) { return result_->subnet_routed[idx]; });
-
-      if (!ok) {
-        // Restore the original geometry and bookkeeping.
-        rip_net(net);
-        for (Saved& entry : saved) {
-          for (const Point3 p : entry.nodes) grid_->claim(p, net);
-          result_->subnet_nodes[entry.idx] = std::move(entry.nodes);
-          result_->subnet_routed[entry.idx] = true;
-          result_->subnet_method[entry.idx] = entry.method;
-        }
-      } else {
-        ++result_->sp_cleanup_nets;
-        detail_counter<telemetry::keys::kSpCleanupNets>().add(1);
+      // The reroute reads only the key inputs and the grid inside its read
+      // set: when neither changed since a run that changed nothing, it
+      // would change nothing again.
+      if (sp_memo_hit(net)) {
+        sp_skips.add(1);
+        continue;
       }
+      if (reroute_offender(net, pool)) round_changed = true;
     }
     astar_.set_beta_scale(1.0);
+    // A round that changed nothing leaves the state it started from, so the
+    // next round would repeat it exactly.
+    if (!round_changed) return;
   }
 }
 
@@ -754,6 +876,8 @@ void DetailedRouter::bind(const std::vector<netlist::Subnet>& subnets,
   subnets_of_net_.assign(static_cast<std::size_t>(max_net + 1), {});
   for (std::size_t i = 0; i < subnets.size(); ++i)
     subnets_of_net_[static_cast<std::size_t>(subnets[i].net)].push_back(i);
+  sp_memo_.assign(subnets_of_net_.size(), {});
+  probe_memo_.assign(subnets.size(), {});
 }
 
 void DetailedRouter::restore(const std::vector<netlist::Subnet>& subnets,
@@ -784,6 +908,10 @@ void DetailedRouter::reroute_nets(const std::vector<netlist::NetId>& nets,
   std::sort(order_nets.begin(), order_nets.end());
   order_nets.erase(std::unique(order_nets.begin(), order_nets.end()),
                    order_nets.end());
+  // The rip, the pin moves and the main pass form one transaction: a net
+  // that reroutes onto its old geometry leaves no trace in the change log,
+  // so the repair memo of everything around it stays valid.
+  grid_->begin_transaction();
   std::vector<std::uint8_t> ripped(subnets_->size(), 0);
   for (const netlist::NetId net : order_nets) {
     if (net < 0 || static_cast<std::size_t>(net) >= subnets_of_net_.size())
@@ -801,20 +929,43 @@ void DetailedRouter::reroute_nets(const std::vector<netlist::NetId>& nets,
   std::vector<std::size_t> order;
   for (const std::size_t idx : full_order)
     if (ripped[idx] != 0) order.push_back(idx);
-  route_and_repair(order, pool, cancel, progress);
+  main_pass(order, pool, cancel, progress);
+  grid_->end_transaction();
+  repair(pool, cancel, /*incremental=*/true);
 }
 
-void DetailedRouter::route_and_repair(const std::vector<std::size_t>& order,
-                                      exec::ThreadPool* pool,
-                                      const exec::Cancellation* cancel,
-                                      const ProgressFn& progress) {
-  {
-    TELEMETRY_SPAN("detail.main_pass");
+namespace {
+
+/// Run `phase` and add its wall time to the counter `key`.
+template <typename Fn>
+void timed_phase(const char* key, Fn&& phase) {
+  const std::uint64_t t0 = telemetry::now_ns();
+  phase();
+  telemetry::counter(key).add(
+      static_cast<std::int64_t>(telemetry::now_ns() - t0));
+}
+
+}  // namespace
+
+void DetailedRouter::main_pass(const std::vector<std::size_t>& order,
+                               exec::ThreadPool* pool,
+                               const exec::Cancellation* cancel,
+                               const ProgressFn& progress) {
+  TELEMETRY_SPAN("detail.main_pass");
+  timed_phase(telemetry::keys::kDetailPhaseMainPassNs, [&] {
     route_batches(order, /*realized_only=*/false, pool, cancel, progress);
-  }
+  });
+}
+
+void DetailedRouter::repair(exec::ThreadPool* pool,
+                            const exec::Cancellation* cancel,
+                            bool incremental) {
+  namespace keys = telemetry::keys;
   if (cancel == nullptr || !cancel->stop_requested()) {
-    rescue_failed(pool);
-    cleanup_short_polygons(pool);
+    timed_phase(keys::kDetailPhaseRescueNs,
+                [&] { rescue_failed(pool, incremental); });
+    timed_phase(keys::kDetailPhaseSpCleanupNs,
+                [&] { cleanup_short_polygons(pool); });
   }
   result_->routed = std::count(result_->subnet_routed.begin(),
                                result_->subnet_routed.end(), true);
@@ -825,7 +976,6 @@ void DetailedRouter::route_and_repair(const std::vector<std::size_t>& order,
   const auto record = [](const char* key, std::size_t value) {
     telemetry::counter(key).add(static_cast<std::int64_t>(value));
   };
-  namespace keys = telemetry::keys;
   record(keys::kDetailOwnerReservedBytes, grid_->owner_reserved_bytes());
   record(keys::kDetailOwnerBlocksTouched, grid_->owner_blocks_touched());
   record(keys::kDetailPinSetBytes, pin_nodes_.bytes());
@@ -844,8 +994,9 @@ DetailedResult DetailedRouter::route_all(
   result.subnet_method.assign(subnets.size(), RouteMethod::kNone);
   bind(subnets, plan, result);
 
-  route_and_repair(order_subnets(subnets, plan, config_.stitch_net_ordering),
-                   pool, cancel, progress);
+  main_pass(order_subnets(subnets, plan, config_.stitch_net_ordering), pool,
+            cancel, progress);
+  repair(pool, cancel, /*incremental=*/false);
 
   telemetry::counter(telemetry::keys::kSubnetsFailed).add(result.failed);
   util::log_info() << "detailed routing: " << result.routed << "/"

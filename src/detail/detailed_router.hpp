@@ -71,7 +71,7 @@ struct DetailedResult {
   std::int64_t astar_routed = 0;
   /// Subnets rescued (or re-routed) by the rip-up pass.
   std::int64_t ripup_rescued = 0;
-  /// Nets rerouted by the short-polygon cleanup.
+  /// Short-polygon cleanup reroutes that changed the net's geometry.
   std::int64_t sp_cleanup_nets = 0;
 };
 
@@ -88,6 +88,12 @@ struct DetailedResult {
 /// sequential-equivalent, so the routed result is identical to the
 /// one-subnet-at-a-time loop for every thread count (including the no-pool
 /// fallback).
+///
+/// The repair passes keep a memo across calls (DESIGN.md §9): a
+/// short-polygon reroute or a rescue probe whose last run changed nothing is
+/// skipped while its key inputs are unchanged and the grid's change log
+/// shows no change inside the boxes it reads. A skipped attempt would have
+/// reproduced the same bytes, so the memo changes no routing output.
 class DetailedRouter {
  public:
   DetailedRouter(GridGraph& grid, DetailedConfig config = {});
@@ -199,23 +205,79 @@ class DetailedRouter {
                      exec::ThreadPool* pool, const exec::Cancellation* cancel,
                      const ProgressFn& progress);
 
-  /// The tail shared by route_all and reroute_nets: the main pass over
-  /// `order`, then (unless cancelled) rescue and short-polygon cleanup, then
-  /// the bound result's routed/failed totals.
-  void route_and_repair(const std::vector<std::size_t>& order,
-                        exec::ThreadPool* pool,
-                        const exec::Cancellation* cancel,
-                        const ProgressFn& progress);
+  /// The main pass over `order` (route_all and reroute_nets).
+  void main_pass(const std::vector<std::size_t>& order, exec::ThreadPool* pool,
+                 const exec::Cancellation* cancel, const ProgressFn& progress);
+
+  /// The tail shared by route_all and reroute_nets after the main pass:
+  /// (unless cancelled) rescue and short-polygon cleanup, then the bound
+  /// result's routed/failed totals. `incremental` as for rescue_failed.
+  void repair(exec::ThreadPool* pool, const exec::Cancellation* cancel,
+              bool incremental);
 
   /// Release all geometry of `net` (sparing pin reservations) and mark its
   /// subnets unrouted. Returns the ripped subnet indices.
   std::vector<std::size_t> rip_net(netlist::NetId net);
 
-  /// Rip-up & reroute pass for currently failed subnets.
-  void rescue_failed(exec::ThreadPool* pool);
+  /// Rip-up & reroute pass for currently failed subnets. `incremental`
+  /// runs the whole pass as one grid transaction, which pays off only for
+  /// memos recorded before it — an ECO's; a full route has none yet, and
+  /// its rescue phase would log hundreds of thousands of writes.
+  void rescue_failed(exec::ThreadPool* pool, bool incremental);
 
   /// Reroute nets owning short polygons with scaled beta.
   void cleanup_short_polygons(exec::ThreadPool* pool);
+
+  /// Rip and reroute one short-polygon offender (restoring it when a subnet
+  /// fails). Returns whether the net's geometry, routed flags or methods
+  /// changed; counts the reroute as cleaned or as a no-op, and memoizes a
+  /// reroute that changed nothing.
+  bool reroute_offender(netlist::NetId net, exec::ThreadPool* pool);
+
+  // --- repair memo (DESIGN.md §9) ------------------------------------------
+
+  /// The plan-run fields the realizer and subnet_search_box read.
+  struct RunKey {
+    geom::Orientation dir;
+    int fixed_tile;
+    geom::Interval span;
+    geom::LayerId layer;
+    bool ripped;
+    std::vector<std::pair<geom::Interval, geom::Coord>> pieces;
+    bool operator==(const RunKey&) const = default;
+  };
+  /// What an offender reroute reads of one subnet besides the grid around
+  /// it, including its own committed nodes (which the rip releases).
+  struct SubnetKey {
+    geom::Point a;
+    geom::Point b;
+    bool routed;
+    RouteMethod method;
+    std::vector<RunKey> runs;
+    std::vector<geom::Point3> nodes;
+    bool operator==(const SubnetKey&) const = default;
+  };
+  /// An offender reroute that changed nothing, by net.
+  struct SpMemo {
+    bool valid = false;
+    GridGraph::Seq seq = 0;  ///< grid_->seq() after the reroute
+    std::vector<SubnetKey> key;
+  };
+  /// A rescue probe that changed nothing, by subnet.
+  struct ProbeMemo {
+    bool valid = false;
+    GridGraph::Seq seq = 0;  ///< grid_->seq() at the probe
+    geom::Point a;
+    geom::Point b;
+  };
+
+  [[nodiscard]] std::vector<SubnetKey> sp_key(netlist::NetId net) const;
+  /// Boxes an offender reroute of `net` reads: per subnet its first-attempt
+  /// box hulled with its last escalation box.
+  [[nodiscard]] std::vector<geom::Rect> sp_read_set(netlist::NetId net) const;
+  [[nodiscard]] bool sp_memo_hit(netlist::NetId net) const;
+  /// The rip-up probe's search box of subnet `idx`.
+  [[nodiscard]] geom::Rect probe_box(std::size_t idx) const;
 
   /// Point the working pointers at a (subnets, plan, result) triple and
   /// rebuild the net -> subnet index.
@@ -239,6 +301,9 @@ class DetailedRouter {
   std::vector<std::vector<std::size_t>> subnets_of_net_;
   /// Pin pad / via-access reservations, by grid node index.
   NodeBitmap pin_nodes_;
+  /// Repair memo, cleared by bind(): by net and by subnet.
+  std::vector<SpMemo> sp_memo_;
+  std::vector<ProbeMemo> probe_memo_;
 };
 
 }  // namespace mebl::detail

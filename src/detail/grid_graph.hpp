@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "detail/node_bitmap.hpp"
+#include "geom/rect.hpp"
 #include "grid/routing_grid.hpp"
 #include "netlist/netlist.hpp"
 
@@ -24,6 +25,14 @@ namespace mebl::detail {
 /// page. index() lays the grid out block-major — a kBlock x kBlock tile of
 /// one layer is kBlock² consecutive slots, exactly one 4 KiB page — so a
 /// vertical wire touches one page per kBlock rows, not one per row.
+///
+/// Every block also carries a change stamp: the sequence number of the last
+/// write that changed one of its slots (or of a touch()). last_change(rect)
+/// is what the detailed router's repair memo compares against the sequence
+/// number it recorded with a no-op outcome (DESIGN.md §9). A transaction
+/// (begin_transaction / end_transaction) reports only its net effect: a
+/// block whose slots all end where they started, and that was not touched,
+/// gets its pre-transaction stamp back.
 class GridGraph {
  public:
   /// log2 of the side of one block-major tile.
@@ -54,6 +63,35 @@ class GridGraph {
 
   /// Release a node (rip-up). Releasing a free node is a no-op.
   void release(geom::Point3 p);
+
+  // --- change log ----------------------------------------------------------
+
+  /// Monotonic change sequence number; 0 = nothing has changed yet.
+  using Seq = std::uint64_t;
+
+  /// The newest sequence number issued so far.
+  [[nodiscard]] Seq seq() const noexcept { return seq_; }
+
+  /// Newest change stamp over every block `r` covers, on all layers (0 when
+  /// none of them ever changed). Invariant: for any sequence number t read
+  /// outside a transaction, last_change(r) <= t implies every slot in `r`
+  /// holds the value it held at t.
+  [[nodiscard]] Seq last_change(const geom::Rect& r) const;
+
+  /// Stamp p's block as changed without changing its slot: for state that
+  /// lives next to the grid but is read with it (pin reservations, pin-guard
+  /// penalties). A touch survives transaction compression.
+  void touch(geom::Point3 p);
+
+  /// Open a transaction; transactions do not nest.
+  void begin_transaction();
+  /// Close it: every block it changed whose slots all hold their
+  /// begin-time values again, and that was not touched, gets its
+  /// begin-time stamp back. The stamps other blocks got inside the
+  /// transaction stay, so a sequence number read inside one no longer obeys
+  /// last_change()'s invariant after the end — a reader must check its
+  /// rects against it before calling end_transaction().
+  void end_transaction();
 
   /// Number of nodes currently owned by any net.
   [[nodiscard]] std::int64_t occupied_nodes() const noexcept {
@@ -102,6 +140,25 @@ class GridGraph {
     void operator()(std::int32_t* p) const noexcept { std::free(p); }
   };
 
+  /// Stamp the block of slot `i` before its slot changes (or, `touched`,
+  /// without a slot change); inside a transaction, log the old value and
+  /// save the block's begin-time stamp on its first change.
+  void note_change(std::size_t i, bool touched);
+
+  /// A block the open transaction changed, with its begin-time stamp.
+  /// `keep` marks a block whose new stamp must stay: touched, or found
+  /// changed at the end.
+  struct SavedBlock {
+    std::size_t block;
+    Seq stamp;
+    bool keep;
+  };
+  /// One slot write inside the open transaction and the value it replaced.
+  struct Undo {
+    std::size_t slot;
+    std::int32_t before;
+  };
+
   const grid::RoutingGrid* grid_;
   std::size_t index_space_;
   std::vector<std::size_t> layer_offset_;   ///< first slot of each layer
@@ -112,6 +169,17 @@ class GridGraph {
   /// One bit per block: has any claim ever written into it.
   NodeBitmap blocks_touched_;
   std::int64_t occupied_ = 0;
+
+  std::size_t blocks_x_ = 0;  ///< blocks along x, per layer
+  /// Change stamp per block (8 B per 4 KiB page of owner slots).
+  std::vector<Seq> block_stamp_;
+  Seq seq_ = 0;
+  bool in_transaction_ = false;
+  /// seq() at begin_transaction(): a block stamped after it is already
+  /// saved.
+  Seq transaction_seq_ = 0;
+  std::vector<SavedBlock> saved_;
+  std::vector<Undo> undo_;
 };
 
 }  // namespace mebl::detail

@@ -57,6 +57,14 @@ const MetricSpec kSpecs[] = {
     {"eco_coalesced", Direction::kHigherBetter, {}},
     {"reports_identical", Direction::kHigherBetter, {}},
     {"eco_verified", Direction::kHigherBetter, {}},
+    // Steady-state ECO stream (bench/eco_reroute, DESIGN.md §9): the repair
+    // memo's skip count and the stream's final quality are pure functions
+    // of the stream, so any change either way means the routing changed.
+    {"memo_skips", Direction::kExact, {}},
+    {"final_short_polygons", Direction::kExact, {}},
+    {"final_via_violations", Direction::kExact, {}},
+    {"final_vias", Direction::kExact, {}},
+    {"final_wirelength", Direction::kExact, {}},
 };
 
 const MetricSpec* find_spec(std::string_view name) {
@@ -148,9 +156,17 @@ class Differ {
     delta.gated = spec != nullptr && !tolerance.ignore;
     if (delta.gated) {
       const double slack = tolerance_slack(tolerance, baseline);
-      delta.regression = spec->direction == Direction::kLowerBetter
-                             ? candidate > baseline + slack
-                             : candidate < baseline - slack;
+      switch (spec->direction) {
+        case Direction::kLowerBetter:
+          delta.regression = candidate > baseline + slack;
+          break;
+        case Direction::kHigherBetter:
+          delta.regression = candidate < baseline - slack;
+          break;
+        case Direction::kExact:
+          delta.regression = std::abs(candidate - baseline) > slack;
+          break;
+      }
     }
     result_.deltas.push_back(std::move(delta));
   }

@@ -37,7 +37,9 @@ struct Tolerance {
   bool ignore = false;  ///< metric never gates (still reported)
 };
 
-enum class Direction { kLowerBetter, kHigherBetter };
+/// kExact metrics are deterministic counts that must not move either way
+/// (a change in either direction beyond the slack is a regression).
+enum class Direction { kLowerBetter, kHigherBetter, kExact };
 
 /// Direction of a gated metric by its (unqualified) name, or nullopt for
 /// informational metrics.

@@ -67,7 +67,13 @@ inline constexpr char kAstarSearches[] = "detail.astar.searches";
 inline constexpr char kAstarExpansions[] = "detail.astar.expansions";
 inline constexpr char kRipupRescued[] = "detail.ripup.rescued";
 inline constexpr char kRipupVictims[] = "detail.ripup.victims";
+/// Short-polygon cleanup reroutes that changed the net's geometry; the ones
+/// that ran and left it as it was count as noop_reroutes. Rounds counts the
+/// cleanup rounds that reached their offender loop.
 inline constexpr char kSpCleanupNets[] = "detail.sp_cleanup.nets";
+inline constexpr char kSpCleanupNoopReroutes[] =
+    "detail.sp_cleanup.noop_reroutes";
+inline constexpr char kSpCleanupRounds[] = "detail.sp_cleanup.rounds";
 inline constexpr char kSubnetsRealized[] = "detail.subnets.realized";
 inline constexpr char kSubnetsPattern[] = "detail.subnets.pattern";
 inline constexpr char kSubnetsAstar[] = "detail.subnets.astar";
@@ -84,6 +90,20 @@ inline constexpr char kDetailSequentialSubnets[] =
     "detail.parallel.sequential_subnets";
 inline constexpr char kDetailEscalations[] = "detail.parallel.escalations";
 inline constexpr char kDetailRecomputed[] = "detail.parallel.recomputed";
+
+// detail repair memo (DESIGN.md §9): offender reroutes and rescue probes
+// skipped because their last run changed nothing and nothing they read has
+// changed since. Change stamps are written at the commit barriers in the
+// sequential order, so both are thread-count invariant and canonical.
+inline constexpr char kMemoSpSkips[] = "detail.memo.sp_skips";
+inline constexpr char kMemoProbeSkips[] = "detail.memo.probe_skips";
+
+// detail phase wall time: main pass, rescue and short-polygon cleanup, in
+// the detail stage's counter block (execution-dependent by the _ns suffix).
+inline constexpr char kDetailPhaseMainPassNs[] = "detail.phase.main_pass_ns";
+inline constexpr char kDetailPhaseRescueNs[] = "detail.phase.rescue_ns";
+inline constexpr char kDetailPhaseSpCleanupNs[] =
+    "detail.phase.sp_cleanup_ns";
 
 // detail-stage storage (DESIGN.md §15). Like grid.*, these describe the
 // *representation* — bytes reserved for the owner slots, how many of their

@@ -5,6 +5,7 @@
 // bit-identical for every thread count and batch cap, for batch routes and
 // ECO reroutes alike.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "exec/thread_pool.hpp"
 #include "report/report.hpp"
 #include "serve/resident_design.hpp"
+#include "telemetry/keys.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -235,6 +237,89 @@ TEST(DetailEcoDeterminism, RerouteIdenticalAcrossCapsAndThreads) {
   EXPECT_EQ(eco_nodes(1, 1), reference) << "cap 1, 1 thread";
   EXPECT_EQ(eco_nodes(default_cap, 4), reference) << "default cap, 4 threads";
   EXPECT_EQ(eco_nodes(1, 4), reference) << "cap 1, 4 threads";
+}
+
+// The repair memo (DESIGN.md §9) changes no routing output. A resident
+// keeps its memo across a 30-ECO stream (every third ECO also moves a pin,
+// which changes pin reservations and guard penalties); every ECO's verify
+// replays it on a resident rebuilt from the pre-ECO state, whose router
+// starts with an empty memo and so re-runs every attempt the resident
+// skipped. Every ECO must verify, the stream must be identical at 1 and 4
+// threads, and the memo must actually have skipped work.
+TEST(DetailRepairMemo, EcoStreamVerifiesAgainstMemoFreeReplay) {
+  const auto* spec = bench_suite::find_spec("S5378");
+  ASSERT_NE(spec, nullptr);
+  const auto circuit = bench_suite::generate_circuit(*spec, {}, 20130602u);
+  std::vector<netlist::NetId> candidates;
+  for (const netlist::Net& net : circuit.netlist.nets())
+    if (net.degree() >= 2) candidates.push_back(net.id);
+  ASSERT_GE(candidates.size(), 10u);
+
+  struct Stream {
+    std::vector<std::string> blocks;  ///< canonical quality block per ECO
+    std::int64_t sp_skips = 0;
+    std::int64_t probe_skips = 0;
+  };
+  const auto run_stream = [&](int threads) {
+    serve::ResidentDesign resident(
+        netlist::Design{circuit.grid, circuit.netlist},
+        core::RouterConfig::stitch_aware());
+    exec::ThreadPool pool(threads);
+    EXPECT_TRUE(resident.route_full(&pool).ok);
+    util::Rng rng(7u);
+    const auto last = static_cast<std::int64_t>(candidates.size()) - 1;
+    Stream stream;
+    for (int eco = 0; eco < 30; ++eco) {
+      serve::EcoRequest request;
+      while (request.nets.size() < 10) {
+        const netlist::NetId net =
+            candidates[static_cast<std::size_t>(rng.uniform_int(0, last))];
+        if (std::find(request.nets.begin(), request.nets.end(), net) ==
+            request.nets.end())
+          request.nets.push_back(net);
+      }
+      if (eco % 3 == 2) {
+        // Move the first pin of the first net that has a pin-free
+        // neighbour track along x.
+        const netlist::Netlist& netlist = resident.design().netlist;
+        for (const netlist::NetId net : request.nets) {
+          const netlist::PinId pin = netlist.net(net).pins.front();
+          const geom::Point to{netlist.pin(pin).pos.x + 1,
+                               netlist.pin(pin).pos.y};
+          const bool free =
+              resident.design().grid.in_bounds(to) &&
+              std::none_of(netlist.pins().begin(), netlist.pins().end(),
+                           [&](const netlist::Pin& p) { return p.pos == to; });
+          if (free) {
+            request.pin_moves = {{pin, to}};
+            break;
+          }
+        }
+        EXPECT_EQ(request.pin_moves.size(), 1u) << "eco " << eco;
+      }
+      request.verify = true;
+      const serve::EcoOutcome outcome = resident.eco(request, &pool);
+      EXPECT_TRUE(outcome.ok) << outcome.error;
+      EXPECT_FALSE(outcome.fallback_full) << "eco " << eco;
+      EXPECT_TRUE(outcome.verified) << "eco " << eco << " threads " << threads;
+      // The ECO's own counter delta: the verify replay runs afterwards.
+      stream.sp_skips +=
+          outcome.report.counters.value(telemetry::keys::kMemoSpSkips);
+      stream.probe_skips +=
+          outcome.report.counters.value(telemetry::keys::kMemoProbeSkips);
+      stream.blocks.push_back(serve::canonical_quality_block(outcome.report));
+    }
+    return stream;
+  };
+  const Stream one = run_stream(1);
+  EXPECT_GT(one.sp_skips, 0);
+  EXPECT_GT(one.probe_skips, 0);
+  const Stream four = run_stream(4);
+  EXPECT_EQ(one.sp_skips, four.sp_skips);
+  EXPECT_EQ(one.probe_skips, four.probe_skips);
+  ASSERT_EQ(one.blocks.size(), four.blocks.size());
+  for (std::size_t i = 0; i < one.blocks.size(); ++i)
+    EXPECT_EQ(one.blocks[i], four.blocks[i]) << "eco " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, DetailParallelDeterminism,

@@ -341,6 +341,20 @@ TEST(Diff, HigherBetterMetricsGateDownward) {
             report::kDiffOk);
 }
 
+TEST(Diff, ExactMetricsGateBothWays) {
+  const auto doc = [](std::int64_t skips) {
+    Json d = bench_doc(10, 1000.0, 99.0, 5.0);
+    d["rows"].items()[0]["metrics"]["memo_skips"] = skips;
+    return d;
+  };
+  const Json base = doc(40);
+  EXPECT_EQ(report::diff_reports(base, doc(40)).exit_code(), report::kDiffOk);
+  EXPECT_EQ(report::diff_reports(base, doc(41)).exit_code(),
+            report::kDiffRegression);
+  EXPECT_EQ(report::diff_reports(base, doc(39)).exit_code(),
+            report::kDiffRegression);
+}
+
 TEST(Diff, SecondsAreLooselyGated) {
   const Json base = bench_doc(10, 1000.0, 99.0, 5.0);
   // +40%: inside the max(2 s abs, 50% rel) slack.
@@ -427,6 +441,7 @@ TEST(Diff, DirectionTableKnowsTheGatedMetrics) {
             report::Direction::kLowerBetter);
   EXPECT_EQ(report::metric_direction("yield"),
             report::Direction::kHigherBetter);
+  EXPECT_EQ(report::metric_direction("memo_skips"), report::Direction::kExact);
   EXPECT_FALSE(report::metric_direction("made_up_metric").has_value());
   EXPECT_GT(report::default_tolerance("seconds").abs, 0.0);
   EXPECT_EQ(report::default_tolerance("short_polygons").abs, 0.0);
