@@ -27,58 +27,30 @@ std::vector<Finding> audit(const detail::GridGraph& grid) {
   std::vector<Finding> findings;
 
   for (geom::LayerId l = 0; l < rg.num_layers(); ++l) {
-    for (geom::Coord y = 0; y < rg.height(); ++y) {
-      for (geom::Coord x = 0; x < rg.width(); ++x) {
-        const auto net = grid.owner({x, y, l});
-        if (net == -1) continue;
+    const auto above = static_cast<geom::LayerId>(l + 1);
+    const bool vertical =
+        l >= 1 && rg.layer_dir(l) == geom::Orientation::kVertical;
+    grid.for_each_run(l, [&](geom::Coord y, geom::Coord lo, geom::Coord hi,
+                             netlist::NetId net) {
+      for (geom::Coord x = lo; x <= hi; ++x) {
+        if (!stitch.is_stitch_column(x)) continue;
         // Via constraint.
-        if (l + 1 < rg.num_layers() && stitch.is_stitch_column(x) &&
-            grid.owner({x, y, static_cast<geom::LayerId>(l + 1)}) == net)
+        if (above < rg.num_layers() && grid.owner({x, y, above}) == net)
           findings.push_back({"via-on-stitch-line (fixed pin)", {x, y, l}});
         // Vertical routing constraint (an actual vertical *wire* exists
         // only on vertical layers; stacked horizontal wires on adjacent
         // rows may legally cross a line).
-        if (l >= 1 && rg.layer_dir(l) == geom::Orientation::kVertical &&
-            stitch.is_stitch_column(x) && y + 1 < rg.height() &&
+        if (vertical && y + 1 < rg.height() &&
             grid.owner({x, y + 1, l}) == net)
           findings.push_back({"VERTICAL-WIRE-ON-LINE (hard violation!)",
                               {x, y, l}});
       }
-    }
+    });
   }
 
   // Short polygons, reported per wire end.
-  for (const auto l : rg.layers_with(geom::Orientation::kHorizontal)) {
-    for (geom::Coord y = 0; y < rg.height(); ++y) {
-      geom::Coord x = 0;
-      while (x < rg.width()) {
-        const auto net = grid.owner({x, y, l});
-        if (net == -1) {
-          ++x;
-          continue;
-        }
-        geom::Coord end = x;
-        while (end + 1 < rg.width() && grid.owner({end + 1, y, l}) == net)
-          ++end;
-        if (end > x) {
-          const auto has_via = [&](geom::Coord px) {
-            if (l > 0 &&
-                grid.owner({px, y, static_cast<geom::LayerId>(l - 1)}) == net)
-              return true;
-            return l + 1 < rg.num_layers() &&
-                   grid.owner({px, y, static_cast<geom::LayerId>(l + 1)}) == net;
-          };
-          for (const auto s : stitch.lines_cutting({x, end})) {
-            if (s - x <= stitch.epsilon() && has_via(x))
-              findings.push_back({"short-polygon (soft)", {x, y, l}});
-            if (end - s <= stitch.epsilon() && has_via(end))
-              findings.push_back({"short-polygon (soft)", {end, y, l}});
-          }
-        }
-        x = end + 1;
-      }
-    }
-  }
+  for (const auto& sp : detail::short_polygon_ends(grid))
+    findings.push_back({"short-polygon (soft)", sp.end});
   return findings;
 }
 

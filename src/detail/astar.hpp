@@ -31,7 +31,8 @@ struct AStarConfig {
 /// g-cost / parent arrays, the reusable open-list storage, and the result
 /// path. The caller owns the scratch, which makes a search reentrant:
 /// concurrent searches on one AStarRouter are race-free as long as each
-/// thread uses its own scratch (the detailed router keeps one per thread).
+/// thread uses its own scratch (the detailed router borrows one per search
+/// from a shared free list).
 struct SearchScratch {
   std::vector<std::uint32_t> stamp;
   std::vector<double> g_cost;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <unordered_set>
 
 #include "detail/batch_schedule.hpp"
@@ -23,10 +25,57 @@ using geom::Rect;
 
 namespace {
 
-/// Per-thread A* scratch: pool workers are long-lived, so each keeps its
-/// arrays warm across batches; the barrier's escalations and the rescue
-/// probe use the calling thread's instance.
-thread_local SearchScratch tl_scratch;  // NOLINT(cert-err58-cpp)
+/// A* scratch borrowed for one search from a process-wide free list: the
+/// smallest free scratch that already fits the box, else the largest free
+/// one (the search grows it). Scratch memory is thereby bounded by the boxes
+/// searched at the same time. A scratch per thread would keep each thread
+/// at the largest box it ever searched: the calling thread outlives a
+/// run's pool, so a large box that lands on a fresh worker while the
+/// calling thread still holds an equally large scratch from an earlier
+/// run would double the footprint.
+class BorrowedScratch {
+ public:
+  BorrowedScratch(const grid::RoutingGrid& rg, const Rect& box) {
+    const std::size_t states = static_cast<std::size_t>(box.width()) *
+                               box.height() * rg.num_layers();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto best = free_.end();
+    for (auto it = free_.begin(); it != free_.end(); ++it)
+      if (best == free_.end() ||
+          serves_better((*it)->stamp.size(), (*best)->stamp.size(), states))
+        best = it;
+    if (best == free_.end()) {
+      // Room for every scratch ever made, so returning one never allocates.
+      free_.reserve(++made_);
+      scratch_ = std::make_unique<SearchScratch>();
+    } else {
+      scratch_ = std::move(*best);
+      free_.erase(best);
+    }
+  }
+  ~BorrowedScratch() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(scratch_));
+  }
+  BorrowedScratch(const BorrowedScratch&) = delete;
+  BorrowedScratch& operator=(const BorrowedScratch&) = delete;
+
+  SearchScratch& operator*() const { return *scratch_; }
+  SearchScratch* operator->() const { return scratch_.get(); }
+
+ private:
+  /// A scratch of `a` states serves a search of `states` better than one of
+  /// `b`: it fits and is smaller, or neither fits and it is larger.
+  static bool serves_better(std::size_t a, std::size_t b, std::size_t states) {
+    if ((a >= states) != (b >= states)) return a >= states;
+    return a >= states ? a < b : a > b;
+  }
+
+  static inline std::mutex mutex_;
+  static inline std::vector<std::unique_ptr<SearchScratch>> free_;
+  static inline std::size_t made_ = 0;
+  std::unique_ptr<SearchScratch> scratch_;
+};
 
 /// A detail counter, looked up once (registry entries have stable
 /// addresses); commits bump these on every subnet.
@@ -399,7 +448,7 @@ bool DetailedRouter::collect_pattern(std::size_t idx,
 }
 
 DetailedRouter::Attempt DetailedRouter::compute_first_attempt(
-    std::size_t idx, bool allow_realize, SearchScratch& scratch) const {
+    std::size_t idx, bool allow_realize) const {
   TELEMETRY_SPAN("detail.subnet");
   Attempt attempt;
   if (allow_realize &&
@@ -418,9 +467,10 @@ DetailedRouter::Attempt DetailedRouter::compute_first_attempt(
   const Rect box = subnet.bbox()
                        .inflated(config_.base_margin)
                        .intersect(grid_->routing_grid().extent());
-  if (astar_.search(scratch, subnet.net, subnet.a, subnet.b, box)) {
+  const BorrowedScratch scratch(grid_->routing_grid(), box);
+  if (astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box)) {
     attempt.kind = Attempt::Kind::kAstar;
-    attempt.nodes = scratch.path;
+    attempt.nodes = scratch->path;
   }
   return attempt;
 }
@@ -458,8 +508,9 @@ bool DetailedRouter::route_subnet_escalated(std::size_t idx) {
   for (int retry = 1; retry <= config_.max_retries; ++retry) {
     margin *= 4;
     const Rect box = subnet.bbox().inflated(margin).intersect(extent);
-    if (astar_.search(tl_scratch, subnet.net, subnet.a, subnet.b, box)) {
-      commit_attempt(idx, Attempt{Attempt::Kind::kAstar, tl_scratch.path});
+    const BorrowedScratch scratch(grid_->routing_grid(), box);
+    if (astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box)) {
+      commit_attempt(idx, Attempt{Attempt::Kind::kAstar, scratch->path});
       return true;
     }
   }
@@ -503,7 +554,7 @@ void DetailedRouter::route_batches(const std::vector<std::size_t>& order,
     const bool allow_realize =
         !realized_only ||
         result_->subnet_method[idx] == RouteMethod::kRealized;
-    return compute_first_attempt(idx, allow_realize, tl_scratch);
+    return compute_first_attempt(idx, allow_realize);
   };
 
   std::vector<Attempt> attempts;
@@ -615,10 +666,14 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
       // the same inputs give the same path and the same blockers.
       memo = {true, grid_->seq(), subnet.a, subnet.b};
       probed.push_back(idx);
-      if (!astar_.search(tl_scratch, subnet.net, subnet.a, subnet.b, box,
-                         config_.ripup_foreign_penalty, &pin_nodes_))
-        continue;
-      std::vector<Point3> path = tl_scratch.path;
+      std::vector<Point3> path;
+      {
+        const BorrowedScratch scratch(grid_->routing_grid(), box);
+        if (!astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box,
+                           config_.ripup_foreign_penalty, &pin_nodes_))
+          continue;
+        path = scratch->path;
+      }
       std::unordered_set<netlist::NetId> blockers;
       for (const Point3 p : path) {
         const netlist::NetId owner = grid_->owner(p);
@@ -662,55 +717,6 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
   }
   grid_->end_transaction();
 }
-
-namespace {
-
-/// A short-polygon end site: the wire-end node and its owning net.
-struct SpSite {
-  Point3 node;
-  netlist::NetId net;
-};
-
-/// All short-polygon end sites in the current occupancy.
-std::vector<SpSite> short_polygon_sites(const GridGraph& grid) {
-  const auto& rg = grid.routing_grid();
-  const auto& stitch = rg.stitch();
-  std::vector<SpSite> sites;
-  const auto has_via = [&](Point3 p, netlist::NetId net) {
-    if (p.layer > 0 &&
-        grid.owner({p.x, p.y, static_cast<LayerId>(p.layer - 1)}) == net)
-      return true;
-    return p.layer + 1 < rg.num_layers() &&
-           grid.owner({p.x, p.y, static_cast<LayerId>(p.layer + 1)}) == net;
-  };
-  for (const LayerId layer : rg.layers_with(Orientation::kHorizontal)) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      Coord x = 0;
-      while (x < rg.width()) {
-        const netlist::NetId net = grid.owner({x, y, layer});
-        if (net == -1) {
-          ++x;
-          continue;
-        }
-        Coord end = x;
-        while (end + 1 < rg.width() && grid.owner({end + 1, y, layer}) == net)
-          ++end;
-        if (end > x) {
-          for (const Coord s : stitch.lines_cutting({x, end})) {
-            if (s - x <= stitch.epsilon() && has_via({x, y, layer}, net))
-              sites.push_back({{x, y, layer}, net});
-            if (end - s <= stitch.epsilon() && has_via({end, y, layer}, net))
-              sites.push_back({{end, y, layer}, net});
-          }
-        }
-        x = end + 1;
-      }
-    }
-  }
-  return sites;
-}
-
-}  // namespace
 
 std::vector<DetailedRouter::SubnetKey> DetailedRouter::sp_key(
     netlist::NetId net) const {
@@ -824,19 +830,19 @@ void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
   telemetry::Counter& rounds = telemetry::counter(keys::kSpCleanupRounds);
   telemetry::Counter& sp_skips = telemetry::counter(keys::kMemoSpSkips);
   for (int round = 0; round < config_.sp_cleanup_rounds; ++round) {
-    const auto sites = short_polygon_sites(*grid_);
+    const auto sites = short_polygon_ends(*grid_);
     if (sites.empty()) return;
     // A net is cleaned only when at least one of its short-polygon ends
     // lies on *search-routed* geometry. Realized geometry follows the track
     // assignment verbatim; the detailed stage does not override it (its
     // quality is the assignment stage's responsibility, as in the paper).
     std::unordered_set<netlist::NetId> eligible;
-    for (const SpSite& site : sites) {
+    for (const ShortPolygonEnd& site : sites) {
       for (const std::size_t idx :
            subnets_of_net_[static_cast<std::size_t>(site.net)]) {
         if (result_->subnet_method[idx] != RouteMethod::kSearch) continue;
         const auto& nodes = result_->subnet_nodes[idx];
-        if (std::find(nodes.begin(), nodes.end(), site.node) != nodes.end()) {
+        if (std::find(nodes.begin(), nodes.end(), site.end) != nodes.end()) {
           eligible.insert(site.net);
           break;
         }

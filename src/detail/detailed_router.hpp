@@ -184,16 +184,15 @@ class DetailedRouter {
 
   /// First attempt of one subnet (realize, pattern, A* at the base margin)
   /// against the current grid, read-only. Used concurrently by the batch
-  /// phase; `scratch` must be private to the calling thread.
-  Attempt compute_first_attempt(std::size_t idx, bool allow_realize,
-                                SearchScratch& scratch) const;
+  /// phase.
+  Attempt compute_first_attempt(std::size_t idx, bool allow_realize) const;
 
   /// Claim a successful attempt's nodes and update the per-subnet
   /// bookkeeping and stage counters.
   void commit_attempt(std::size_t idx, Attempt&& attempt);
 
   /// Escalating A* retries after a failed first attempt (margin *= 4 per
-  /// retry) on the calling thread's scratch; commits on success.
+  /// retry); commits on success.
   bool route_subnet_escalated(std::size_t idx);
 
   /// The scheduler — the only way subnets get routed: the disjoint-batch

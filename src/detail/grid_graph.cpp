@@ -19,6 +19,16 @@ std::size_t layer_slots(const grid::RoutingGrid& grid) {
          << GridGraph::kBlockSlotsShift;
 }
 
+/// True when a node of `net` sits directly above or below p: a via lands
+/// at p.
+bool has_via(const GridGraph& grid, geom::Point3 p, netlist::NetId net) {
+  if (p.layer > 0 &&
+      grid.owner({p.x, p.y, static_cast<geom::LayerId>(p.layer - 1)}) == net)
+    return true;
+  return p.layer + 1 < grid.routing_grid().num_layers() &&
+         grid.owner({p.x, p.y, static_cast<geom::LayerId>(p.layer + 1)}) == net;
+}
+
 }  // namespace
 
 GridGraph::GridGraph(const grid::RoutingGrid& grid)
@@ -142,6 +152,26 @@ void GridGraph::end_transaction() {
   saved_.clear();
   undo_.clear();
   in_transaction_ = false;
+}
+
+std::vector<ShortPolygonEnd> short_polygon_ends(const GridGraph& grid) {
+  const auto& rg = grid.routing_grid();
+  const auto& stitch = rg.stitch();
+  std::vector<ShortPolygonEnd> ends;
+  for (const geom::LayerId layer :
+       rg.layers_with(geom::Orientation::kHorizontal)) {
+    grid.for_each_run(layer, [&](geom::Coord y, geom::Coord lo,
+                                 geom::Coord hi, netlist::NetId net) {
+      if (hi == lo) return;  // an isolated via landing, not a wire
+      for (const geom::Coord s : stitch.lines_cutting({lo, hi})) {
+        if (s - lo <= stitch.epsilon() && has_via(grid, {lo, y, layer}, net))
+          ends.push_back({{lo, y, layer}, net, s - lo});
+        if (hi - s <= stitch.epsilon() && has_via(grid, {hi, y, layer}, net))
+          ends.push_back({{hi, y, layer}, net, hi - s});
+      }
+    });
+  }
+  return ends;
 }
 
 }  // namespace mebl::detail

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -33,6 +34,9 @@ namespace mebl::detail {
 /// (begin_transaction / end_transaction) reports only its net effect: a
 /// block whose slots all end where they started, and that was not touched,
 /// gets its pre-transaction stamp back.
+///
+/// for_each_run() is the one way to read the whole routed geometry: every
+/// metric, map, audit and short-polygon scan walks the grid through it.
 class GridGraph {
  public:
   /// log2 of the side of one block-major tile.
@@ -92,6 +96,15 @@ class GridGraph {
   /// last_change()'s invariant after the end — a reader must check its
   /// rects against it before calling end_transaction().
   void end_transaction();
+
+  /// Visit every maximal same-net run of owned nodes along x on `layer`
+  /// (1-node runs included) as fn(y, x_lo, x_hi, net), row-major: y
+  /// ascending, then x — the order of a plain nested loop, so sums and
+  /// vectors built in the callback come out identical to one. A block never
+  /// claimed into is all free, so no run crosses it and it is not read; a
+  /// block released after a claim stays touched and is read.
+  template <typename Fn>
+  void for_each_run(geom::LayerId layer, Fn&& fn) const;
 
   /// Number of nodes currently owned by any net.
   [[nodiscard]] std::int64_t occupied_nodes() const noexcept {
@@ -181,5 +194,53 @@ class GridGraph {
   std::vector<SavedBlock> saved_;
   std::vector<Undo> undo_;
 };
+
+template <typename Fn>
+void GridGraph::for_each_run(geom::LayerId layer, Fn&& fn) const {
+  const geom::Coord width = grid_->width();
+  const std::size_t first_slot = layer_offset_[static_cast<std::size_t>(layer)];
+  for (geom::Coord y = 0; y < grid_->height(); ++y) {
+    const std::int32_t* row =
+        owner_.get() + first_slot + row_offset_[static_cast<std::size_t>(y)];
+    const std::size_t first_block =
+        (first_slot >> kBlockSlotsShift) +
+        (static_cast<std::size_t>(y) >> kBlockShift) * blocks_x_;
+    std::int32_t open = 0;  // net + 1 of the run being extended, 0 = none
+    geom::Coord lo = 0;
+    for (std::size_t bx = 0; bx < blocks_x_; ++bx) {
+      const auto x0 = static_cast<geom::Coord>(bx << kBlockShift);
+      if (!blocks_touched_.test(first_block + bx)) {
+        if (open != 0) fn(y, lo, x0 - 1, open - 1);
+        open = 0;
+        continue;
+      }
+      const std::int32_t* slots = row + (bx << kBlockSlotsShift);
+      const geom::Coord n = std::min<geom::Coord>(kBlock, width - x0);
+      for (geom::Coord i = 0; i < n; ++i) {
+        if (slots[i] == open) continue;
+        if (open != 0) fn(y, lo, x0 + i - 1, open - 1);
+        open = slots[i];
+        lo = x0 + i;
+      }
+    }
+    if (open != 0) fn(y, lo, width - 1, open - 1);
+  }
+}
+
+/// One end of a short polygon (paper Fig. 5(c)): a horizontal wire of `net`
+/// cut by a stitching line, whose end node `end` lies within epsilon of the
+/// line and carries a landing via. `piece` is the length in tracks of the
+/// piece the line cuts off.
+struct ShortPolygonEnd {
+  geom::Point3 end;
+  netlist::NetId net;
+  geom::Coord piece;
+};
+
+/// Every short-polygon end of the grid in row-major order (layer, y, x; per
+/// cutting line the wire's left end before its right). The only copy of the
+/// short-polygon test: #SP is its size.
+[[nodiscard]] std::vector<ShortPolygonEnd> short_polygon_ends(
+    const GridGraph& grid);
 
 }  // namespace mebl::detail

@@ -38,7 +38,7 @@ CongestionMap measure_congestion(const detail::GridGraph& grid) {
   map.escape_use.assign(tiles, 0.0);
 
   std::vector<std::int64_t> h_used(tiles, 0), v_used(tiles, 0),
-      esc_used(tiles, 0), esc_cap(tiles, 0);
+      esc_used(tiles, 0);
 
   const int h_layers =
       static_cast<int>(rg.layers_with(Orientation::kHorizontal).size());
@@ -47,23 +47,26 @@ CongestionMap measure_congestion(const detail::GridGraph& grid) {
 
   for (LayerId l = 1; l < rg.num_layers(); ++l) {
     const bool horizontal = rg.layer_dir(l) == Orientation::kHorizontal;
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (Coord x = 0; x < rg.width(); ++x) {
-        const std::size_t t =
-            static_cast<std::size_t>(rg.tile_of_y(y)) * map.tiles_x +
-            rg.tile_of_x(x);
-        const bool used = grid.owner({x, y, l}) != -1;
-        if (!horizontal && stitch.in_escape_region(x)) {
-          ++esc_cap[t];
-          if (used) ++esc_used[t];
-        }
-        if (!used) continue;
-        if (horizontal)
-          ++h_used[t];
-        else
-          ++v_used[t];
+    auto& used = horizontal ? h_used : v_used;
+    grid.for_each_run(l, [&](Coord y, Coord lo, Coord hi, netlist::NetId) {
+      const std::size_t row =
+          static_cast<std::size_t>(rg.tile_of_y(y)) * map.tiles_x;
+      for (Coord x = lo; x <= hi; ++x) {
+        const std::size_t t = row + rg.tile_of_x(x);
+        ++used[t];
+        if (!horizontal && stitch.in_escape_region(x)) ++esc_used[t];
       }
-    }
+    });
+  }
+
+  // Escape capacity is geometry alone: the escape columns of a tile times
+  // its rows, on every vertical layer.
+  std::vector<std::int64_t> escape_columns(
+      static_cast<std::size_t>(map.tiles_x), 0);
+  for (int tx = 0; tx < map.tiles_x; ++tx) {
+    const geom::Interval span = rg.tile_x_span(tx);
+    for (Coord x = span.lo; x <= span.hi; ++x)
+      if (stitch.in_escape_region(x)) ++escape_columns[tx];
   }
 
   for (int ty = 0; ty < map.tiles_y; ++ty) {
@@ -75,9 +78,11 @@ CongestionMap measure_congestion(const detail::GridGraph& grid) {
         map.horizontal[t] = static_cast<double>(h_used[t]) / (area * h_layers);
         map.vertical[t] = static_cast<double>(v_used[t]) / (area * v_layers);
       }
-      if (esc_cap[t] > 0)
+      const std::int64_t esc_cap =
+          escape_columns[tx] * rg.tile_y_span(ty).length() * v_layers;
+      if (esc_cap > 0)
         map.escape_use[t] =
-            static_cast<double>(esc_used[t]) / static_cast<double>(esc_cap[t]);
+            static_cast<double>(esc_used[t]) / static_cast<double>(esc_cap);
     }
   }
   return map;

@@ -7,61 +7,7 @@ namespace mebl::eval {
 using geom::Coord;
 using geom::LayerId;
 using geom::Orientation;
-using geom::Point3;
 using netlist::NetId;
-
-namespace {
-
-/// True when (x, y, layer) has a same-net neighbour across a layer
-/// boundary, i.e. a via lands there.
-bool has_via(const detail::GridGraph& grid, Point3 p, NetId net) {
-  const auto& rg = grid.routing_grid();
-  if (p.layer > 0) {
-    const Point3 below{p.x, p.y, static_cast<LayerId>(p.layer - 1)};
-    if (grid.owner(below) == net) return true;
-  }
-  if (p.layer + 1 < rg.num_layers()) {
-    const Point3 above{p.x, p.y, static_cast<LayerId>(p.layer + 1)};
-    if (grid.owner(above) == net) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int count_short_polygons(const detail::GridGraph& grid) {
-  const auto& rg = grid.routing_grid();
-  const auto& stitch = rg.stitch();
-  int count = 0;
-  for (const LayerId layer : rg.layers_with(Orientation::kHorizontal)) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      Coord x = 0;
-      while (x < rg.width()) {
-        const NetId net = grid.owner({x, y, layer});
-        if (net == -1) {
-          ++x;
-          continue;
-        }
-        Coord end = x;
-        while (end + 1 < rg.width() && grid.owner({end + 1, y, layer}) == net)
-          ++end;
-        if (end > x) {  // an actual wire, not an isolated via landing
-          for (const Coord s : stitch.lines_cutting({x, end})) {
-            // Left piece short with a landing via?
-            if (s - x <= stitch.epsilon() && has_via(grid, {x, y, layer}, net))
-              ++count;
-            // Right piece short with a landing via?
-            if (end - s <= stitch.epsilon() &&
-                has_via(grid, {end, y, layer}, net))
-              ++count;
-          }
-        }
-        x = end + 1;
-      }
-    }
-  }
-  return count;
-}
 
 RouteMetrics compute_metrics(const detail::GridGraph& grid,
                              const netlist::Netlist& netlist,
@@ -72,35 +18,33 @@ RouteMetrics compute_metrics(const detail::GridGraph& grid,
   RouteMetrics metrics;
 
   for (LayerId layer = 0; layer < rg.num_layers(); ++layer) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (Coord x = 0; x < rg.width(); ++x) {
-        const NetId net = grid.owner({x, y, layer});
-        if (net == -1) continue;
-        // Wire adjacencies (count each once: toward +x / +y).
-        if (layer >= 1) {
-          if (x + 1 < rg.width() && grid.owner({x + 1, y, layer}) == net)
-            ++metrics.wirelength;
-          if (y + 1 < rg.height() && grid.owner({x, y + 1, layer}) == net) {
-            ++metrics.wirelength;
-            // An actual vertical *wire* exists only on vertical layers;
-            // same-net y-adjacency on a horizontal layer is two stacked
-            // horizontal wires, which may legally cross a line.
-            if (stitch.is_stitch_column(x) &&
-                rg.layer_dir(layer) == Orientation::kVertical)
-              ++metrics.vertical_violations;
-          }
+    const bool vertical = layer >= 1 &&
+                          rg.layer_dir(layer) == Orientation::kVertical;
+    const auto above = static_cast<LayerId>(layer + 1);
+    grid.for_each_run(layer, [&](Coord y, Coord lo, Coord hi, NetId net) {
+      // Wire adjacencies (count each once: toward +x / +y).
+      if (layer >= 1) metrics.wirelength += hi - lo;
+      for (Coord x = lo; x <= hi; ++x) {
+        if (layer >= 1 && y + 1 < rg.height() &&
+            grid.owner({x, y + 1, layer}) == net) {
+          ++metrics.wirelength;
+          // An actual vertical *wire* exists only on vertical layers;
+          // same-net y-adjacency on a horizontal layer is two stacked
+          // horizontal wires, which may legally cross a line.
+          if (vertical && stitch.is_stitch_column(x))
+            ++metrics.vertical_violations;
         }
         // Vias (count each once: toward the layer above).
-        if (layer + 1 < rg.num_layers() &&
-            grid.owner({x, y, static_cast<LayerId>(layer + 1)}) == net) {
+        if (above < rg.num_layers() && grid.owner({x, y, above}) == net) {
           ++metrics.vias;
           if (stitch.is_stitch_column(x)) ++metrics.via_violations;
         }
       }
-    }
+    });
   }
 
-  metrics.short_polygons = count_short_polygons(grid);
+  metrics.short_polygons =
+      static_cast<int>(detail::short_polygon_ends(grid).size());
 
   metrics.total_nets = static_cast<int>(netlist.num_nets());
   std::vector<bool> net_ok(netlist.num_nets(), true);

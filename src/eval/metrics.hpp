@@ -29,9 +29,4 @@ struct RouteMetrics {
     const std::vector<netlist::Subnet>& subnets,
     const detail::DetailedResult& outcome);
 
-/// Count only the short polygons of a grid (used by unit tests and the
-/// detailed ablation bench): a horizontal wire cut by a stitching line whose
-/// line end lies within epsilon of that line with a landing via.
-[[nodiscard]] int count_short_polygons(const detail::GridGraph& grid);
-
 }  // namespace mebl::eval

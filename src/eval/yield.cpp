@@ -8,21 +8,7 @@ namespace mebl::eval {
 
 using geom::Coord;
 using geom::LayerId;
-using geom::Orientation;
 using netlist::NetId;
-
-namespace {
-
-bool has_via(const detail::GridGraph& grid, geom::Point3 p, NetId net) {
-  const auto& rg = grid.routing_grid();
-  if (p.layer > 0 &&
-      grid.owner({p.x, p.y, static_cast<LayerId>(p.layer - 1)}) == net)
-    return true;
-  return p.layer + 1 < rg.num_layers() &&
-         grid.owner({p.x, p.y, static_cast<LayerId>(p.layer + 1)}) == net;
-}
-
-}  // namespace
 
 YieldReport estimate_yield(const detail::GridGraph& grid,
                            const YieldModel& model) {
@@ -46,54 +32,28 @@ YieldReport estimate_yield(const detail::GridGraph& grid,
   };
 
   // Short polygons with their piece lengths.
-  for (const LayerId layer : rg.layers_with(Orientation::kHorizontal)) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      Coord x = 0;
-      while (x < rg.width()) {
-        const NetId net = grid.owner({x, y, layer});
-        if (net == -1) {
-          ++x;
-          continue;
-        }
-        Coord end = x;
-        while (end + 1 < rg.width() && grid.owner({end + 1, y, layer}) == net)
-          ++end;
-        if (end > x) {
-          for (const Coord s : stitch.lines_cutting({x, end})) {
-            const auto record = [&](geom::Point3 p, Coord piece) {
-              ShortPolygonRisk risk;
-              risk.end = p;
-              risk.piece_tracks = piece;
-              risk.error_ratio = error_ratio(piece);
-              risk.defect_prob = std::clamp(
-                  risk.error_ratio * model.error_ratio_to_defect, 0.0, 1.0);
-              report.expected_defects += risk.defect_prob;
-              report.short_polygons.push_back(risk);
-            };
-            if (s - x <= stitch.epsilon() && has_via(grid, {x, y, layer}, net))
-              record({x, y, layer}, s - x);
-            if (end - s <= stitch.epsilon() &&
-                has_via(grid, {end, y, layer}, net))
-              record({end, y, layer}, end - s);
-          }
-        }
-        x = end + 1;
-      }
-    }
+  for (const detail::ShortPolygonEnd& sp : detail::short_polygon_ends(grid)) {
+    ShortPolygonRisk risk;
+    risk.end = sp.end;
+    risk.piece_tracks = sp.piece;
+    risk.error_ratio = error_ratio(sp.piece);
+    risk.defect_prob =
+        std::clamp(risk.error_ratio * model.error_ratio_to_defect, 0.0, 1.0);
+    report.expected_defects += risk.defect_prob;
+    report.short_polygons.push_back(risk);
   }
 
   // Via violations (vias on line columns).
-  for (const Coord line : stitch.lines()) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (LayerId l = 0; l + 1 < rg.num_layers(); ++l) {
-        const NetId net = grid.owner({line, y, l});
-        if (net != -1 &&
-            grid.owner({line, y, static_cast<LayerId>(l + 1)}) == net) {
+  for (LayerId l = 0; l + 1 < rg.num_layers(); ++l) {
+    const auto above = static_cast<LayerId>(l + 1);
+    grid.for_each_run(l, [&](Coord y, Coord lo, Coord hi, NetId net) {
+      for (Coord x = lo; x <= hi; ++x) {
+        if (stitch.is_stitch_column(x) && grid.owner({x, y, above}) == net) {
           ++report.via_violations;
           report.expected_defects += model.via_violation_defect_prob;
         }
       }
-    }
+    });
   }
 
   report.yield = std::exp(-report.expected_defects);

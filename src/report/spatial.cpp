@@ -40,19 +40,17 @@ ViaDensityMap measure_via_density(const detail::GridGraph& grid) {
   // A via is a same-net adjacency across a layer boundary, counted once
   // toward the layer above (the eval::compute_metrics convention).
   for (LayerId layer = 0; layer + 1 < rg.num_layers(); ++layer) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (Coord x = 0; x < rg.width(); ++x) {
-        const NetId net = grid.owner({x, y, layer});
-        if (net == -1 ||
-            grid.owner({x, y, static_cast<LayerId>(layer + 1)}) != net)
-          continue;
-        const std::size_t t =
-            static_cast<std::size_t>(rg.tile_of_y(y)) * map.tiles_x +
-            rg.tile_of_x(x);
+    const auto above = static_cast<LayerId>(layer + 1);
+    grid.for_each_run(layer, [&](Coord y, Coord lo, Coord hi, NetId net) {
+      const std::size_t row =
+          static_cast<std::size_t>(rg.tile_of_y(y)) * map.tiles_x;
+      for (Coord x = lo; x <= hi; ++x) {
+        if (grid.owner({x, y, above}) != net) continue;
+        const std::size_t t = row + rg.tile_of_x(x);
         ++map.vias[t];
         if (stitch.in_unfriendly_region(x)) ++map.unfriendly_vias[t];
       }
-    }
+    });
   }
   return map;
 }
@@ -81,31 +79,25 @@ std::vector<NetAudit> collect_net_audits(
     if (run.ripped) ++audit.ripped_runs;
   }
 
-  for (LayerId layer = 1; layer < rg.num_layers(); ++layer) {
-    const bool horizontal = rg.layer_dir(layer) == Orientation::kHorizontal;
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (Coord x = 0; x < rg.width(); ++x) {
-        const NetId net = grid.owner({x, y, layer});
-        if (net == -1) continue;
-        NetAudit& audit = audits[static_cast<std::size_t>(net)];
+  for (LayerId layer = 0; layer < rg.num_layers(); ++layer) {
+    const bool horizontal =
+        layer >= 1 && rg.layer_dir(layer) == Orientation::kHorizontal;
+    const bool vertical =
+        layer >= 1 && rg.layer_dir(layer) == Orientation::kVertical;
+    const auto above = static_cast<LayerId>(layer + 1);
+    grid.for_each_run(layer, [&](Coord y, Coord lo, Coord hi, NetId net) {
+      NetAudit& audit = audits[static_cast<std::size_t>(net)];
+      for (Coord x = lo; x <= hi; ++x) {
+        const bool on_line = stitch.is_stitch_column(x);
         // A horizontal wire crossing a line occupies the line column.
-        if (horizontal && stitch.is_stitch_column(x)) ++audit.stitch_crossings;
-        if (!horizontal && stitch.in_escape_region(x)) ++audit.escape_nodes;
+        if (horizontal && on_line) ++audit.stitch_crossings;
+        if (vertical && stitch.in_escape_region(x)) ++audit.escape_nodes;
+        // Vias toward the layer above, on line columns (via violations).
+        if (on_line && above < rg.num_layers() &&
+            grid.owner({x, y, above}) == net)
+          ++audit.via_violations;
       }
-    }
-  }
-
-  // Vias toward the layer above, on line columns (via violations per net).
-  for (LayerId layer = 0; layer + 1 < rg.num_layers(); ++layer) {
-    for (Coord y = 0; y < rg.height(); ++y) {
-      for (Coord x = 0; x < rg.width(); ++x) {
-        if (!stitch.is_stitch_column(x)) continue;
-        const NetId net = grid.owner({x, y, layer});
-        if (net != -1 &&
-            grid.owner({x, y, static_cast<LayerId>(layer + 1)}) == net)
-          ++audits[static_cast<std::size_t>(net)].via_violations;
-      }
-    }
+    });
   }
   return audits;
 }

@@ -15,7 +15,7 @@ grid::RoutingGrid make_grid(Coord w = 60, Coord h = 60) {
 TEST(Metrics, EmptyGridHasNoViolations) {
   const auto rg = make_grid();
   detail::GridGraph grid(rg);
-  EXPECT_EQ(count_short_polygons(grid), 0);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 0u);
 }
 
 TEST(Metrics, CountsWirelengthAndVias) {
@@ -41,14 +41,14 @@ TEST(Metrics, DetectsShortPolygon) {
   // end (16) is within epsilon of the line, with a landing via.
   for (Coord x = 10; x <= 16; ++x) grid.claim({x, 5, 1}, 0);
   grid.claim({16, 5, 2}, 0);  // via to the vertical layer
-  EXPECT_EQ(count_short_polygons(grid), 1);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 1u);
 }
 
 TEST(Metrics, NoShortPolygonWithoutVia) {
   const auto rg = make_grid();
   detail::GridGraph grid(rg);
   for (Coord x = 10; x <= 16; ++x) grid.claim({x, 5, 1}, 0);
-  EXPECT_EQ(count_short_polygons(grid), 0);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 0u);
 }
 
 TEST(Metrics, NoShortPolygonWhenEndFarFromLine) {
@@ -57,7 +57,7 @@ TEST(Metrics, NoShortPolygonWhenEndFarFromLine) {
   // End at x=20 is 5 tracks past line 15: long piece, fine.
   for (Coord x = 10; x <= 20; ++x) grid.claim({x, 5, 1}, 0);
   grid.claim({20, 5, 2}, 0);
-  EXPECT_EQ(count_short_polygons(grid), 0);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 0u);
 }
 
 TEST(Metrics, NoShortPolygonWhenWireNotCut) {
@@ -67,7 +67,7 @@ TEST(Metrics, NoShortPolygonWhenWireNotCut) {
   for (Coord x = 16; x <= 20; ++x) grid.claim({x, 5, 1}, 0);
   grid.claim({16, 5, 2}, 0);
   grid.claim({20, 5, 2}, 0);
-  EXPECT_EQ(count_short_polygons(grid), 0);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 0u);
 }
 
 TEST(Metrics, LeftEndShortPolygon) {
@@ -76,7 +76,7 @@ TEST(Metrics, LeftEndShortPolygon) {
   // Wire 14..20 cut by 15: left piece one track, via at left end.
   for (Coord x = 14; x <= 20; ++x) grid.claim({x, 5, 1}, 0);
   grid.claim({14, 5, 0}, 0);
-  EXPECT_EQ(count_short_polygons(grid), 1);
+  EXPECT_EQ(detail::short_polygon_ends(grid).size(), 1u);
 }
 
 TEST(Metrics, ViaViolationOnStitchColumn) {

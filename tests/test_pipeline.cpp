@@ -172,8 +172,8 @@ TEST(Pipeline, GridGeometryMatchesMetrics) {
   StitchAwareRouter router(circuit.grid, circuit.netlist);
   const auto result = router.run();
   ASSERT_NE(result.grid, nullptr);
-  EXPECT_EQ(eval::count_short_polygons(*result.grid),
-            result.metrics.short_polygons);
+  EXPECT_EQ(detail::short_polygon_ends(*result.grid).size(),
+            static_cast<std::size_t>(result.metrics.short_polygons));
   EXPECT_GT(result.grid->occupied_nodes(), 0);
 }
 

@@ -82,9 +82,39 @@ TEST_P(PipelineProperty, HardConstraintsAndInvariantsHold) {
     }
   }
 
-  // Property 4: counting consistency.
-  EXPECT_EQ(result.metrics.short_polygons,
-            eval::count_short_polygons(grid));
+  // Property 4: counting consistency — #SP recounted by brute force. For
+  // every maximal same-net horizontal wire and every line strictly inside
+  // it, each wire end within epsilon of the line that has a same-net node
+  // directly above or below is one short polygon.
+  int short_polygons = 0;
+  for (const geom::LayerId l :
+       circuit.grid.layers_with(geom::Orientation::kHorizontal)) {
+    const auto same_net_via = [&](geom::Coord x, geom::Coord y,
+                                  netlist::NetId net) {
+      return grid.owner({x, y, static_cast<geom::LayerId>(l - 1)}) == net ||
+             (l + 1 < circuit.grid.num_layers() &&
+              grid.owner({x, y, static_cast<geom::LayerId>(l + 1)}) == net);
+    };
+    for (geom::Coord y = 0; y < circuit.grid.height(); ++y) {
+      for (geom::Coord lo = 0; lo < circuit.grid.width(); ++lo) {
+        const auto net = grid.owner({lo, y, l});
+        if (net == -1 || (lo > 0 && grid.owner({lo - 1, y, l}) == net))
+          continue;  // free, or not the start of a wire
+        geom::Coord hi = lo;
+        while (hi + 1 < circuit.grid.width() &&
+               grid.owner({hi + 1, y, l}) == net)
+          ++hi;
+        for (const geom::Coord s : stitch.lines()) {
+          if (s <= lo || s >= hi) continue;
+          if (s - lo <= stitch.epsilon() && same_net_via(lo, y, net))
+            ++short_polygons;
+          if (hi - s <= stitch.epsilon() && same_net_via(hi, y, net))
+            ++short_polygons;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(result.metrics.short_polygons, short_polygons);
   EXPECT_LE(result.metrics.routed_nets, result.metrics.total_nets);
 
   // Property 5: a routed net's pins are all claimed by that net.
