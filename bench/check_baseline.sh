@@ -4,7 +4,7 @@
 # mebl.bench_report JSON, and `mebl_report diff` each against its baseline
 # (bench/BENCH_baseline.json, bench/BENCH_baseline_full_scale.json,
 # bench/BENCH_baseline_serve.json). Deterministic row metrics (batch_nets,
-# dirty_subnets, wirelength, overflow, tiles_materialized, jobs_completed,
+# dirty_subnets, wirelength, overflow, storage_bytes, jobs_completed,
 # eco_coalesced, reports_identical, ...) are gated — a missing row or a
 # changed value fails; wall-clock columns (eco_seconds, full_seconds,
 # speedup, qps, latency percentiles, peak_rss_kb) are informational or

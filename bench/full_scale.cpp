@@ -1,13 +1,12 @@
 // Paper-scale global routing (DESIGN.md §15): generate a full-scale
 // instance (~16k tracks wide for S38417 — the paper's physical die at a
-// two-feature track pitch), route it with the tiled sparse grid plus the
-// coarsen–route–refine multilevel pass, and record the memory curve
-// (tiles materialized, resident bytes vs the dense estimate, peak RSS)
-// alongside runtime and quality. A second row compares multilevel against
-// the flat schedule on the same instance. A third row, `pipeline`, routes
-// S5378@full_scale end to end (global, layer, track, detail) and holds it
-// to a fixed peak-RSS budget: the harness exits 1 when the process peak
-// exceeds kPipelineRssBudgetKb.
+// two-feature track pitch), route it with the coarsen–route–refine
+// multilevel pass, and record the congestion graph's resident bytes and the
+// process peak RSS alongside runtime and quality. A second row compares
+// multilevel against the flat schedule on the same instance. A third row,
+// `pipeline`, routes S5378@full_scale end to end (global, layer, track,
+// detail) and holds it to a fixed peak-RSS budget: the harness exits 1 when
+// the process peak exceeds kPipelineRssBudgetKb.
 //
 //   full_scale [--threads N] [--json FILE] [--trace FILE] [--stats FILE]
 //
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
 
   global::GlobalRouterConfig ml_config;
   ml_config.net_batch_size = 32;  // the pipeline's parallel batching default
-  ml_config.tiled_grid = true;
   ml_config.multilevel.enabled = true;
 
   util::Timer timer;
@@ -75,18 +73,7 @@ int main(int argc, char** argv) {
 
   const auto& graph = ml_router.graph();
   const auto tiles_total = graph.tiles_total();
-  const auto tiles_materialized = graph.tiles_materialized();
-  const double materialized_fraction =
-      tiles_total > 0
-          ? static_cast<double>(tiles_materialized) / static_cast<double>(tiles_total)
-          : 0.0;
   const auto storage_bytes = graph.storage_bytes();
-  const auto dense_bytes = global::RoutingGraph::dense_storage_bytes(
-      graph.tiles_x(), graph.tiles_y());
-  const double memory_fraction =
-      dense_bytes > 0
-          ? static_cast<double>(storage_bytes) / static_cast<double>(dense_bytes)
-          : 0.0;
   const auto counter_value = [](const char* key) {
     return telemetry::counter(key).value();
   };
@@ -105,11 +92,7 @@ int main(int argc, char** argv) {
     metrics["seconds"] = ml_seconds;
     metrics["peak_rss_kb"] = static_cast<std::int64_t>(rss_kb);
     metrics["tiles_total"] = static_cast<std::int64_t>(tiles_total);
-    metrics["tiles_materialized"] = static_cast<std::int64_t>(tiles_materialized);
-    metrics["materialized_fraction"] = materialized_fraction;
     metrics["storage_bytes"] = static_cast<std::int64_t>(storage_bytes);
-    metrics["dense_storage_bytes"] = static_cast<std::int64_t>(dense_bytes);
-    metrics["memory_fraction"] = memory_fraction;
     metrics["coarse_nets"] = coarse_nets;
     metrics["corridor_hits"] = corridor_hits;
     metrics["corridor_fallbacks"] = corridor_fallbacks;
@@ -117,8 +100,8 @@ int main(int argc, char** argv) {
                      std::move(metrics));
   }
 
-  // Flat comparison: same instance, same tiled storage, multilevel off —
-  // so the delta isolates the coarsen–route–refine schedule.
+  // Flat comparison: same instance, multilevel off — so the delta
+  // isolates the coarsen–route–refine schedule.
   global::GlobalRouterConfig flat_config = ml_config;
   flat_config.multilevel.enabled = false;
   timer.reset();
@@ -143,8 +126,8 @@ int main(int argc, char** argv) {
     report_scope.add("full_scale", "multilevel_vs_flat", std::move(metrics));
   }
 
-  // Pipeline row: paper-scale S5378 through every stage, tiled grid plus
-  // multilevel, so the detail stage's memory shows in the process peak.
+  // Pipeline row: paper-scale S5378 through every stage with multilevel,
+  // so the detail stage's memory shows in the process peak.
   const auto* pipeline_spec = bench_suite::find_spec("S5378");
   const auto pipeline_circuit = bench_suite::generate_circuit(
       *pipeline_spec, generator_config, bench_common::kSeed);
@@ -153,7 +136,6 @@ int main(int argc, char** argv) {
       pipeline_circuit.grid, pipeline_circuit.netlist,
       core::RouterConfig::stitch_aware()
           .with_threads(bench_common::threads_from_args(argc, argv))
-          .with_tiled_grid(true)
           .with_multilevel(true));
   const auto pipeline = pipeline_router.run();
   const double pipeline_seconds = timer.seconds();
@@ -174,7 +156,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table table("Circuit", "Tracks", "Subnets", "WL", "TVOF", "CPU(s)",
-                    "RSS(MB)", "Tiles", "Materialized", "TileFrac", "MemFrac");
+                    "RSS(MB)", "Tiles", "Graph(KB)");
   table.add_row(
       spec->name + "@full_scale",
       std::to_string(circuit.grid.width()) + "x" +
@@ -183,10 +165,8 @@ int main(int argc, char** argv) {
       std::to_string(ml_result.total_vertex_overflow),
       util::Table::fixed(ml_seconds, 2),
       std::to_string(rss_kb >= 0 ? rss_kb / 1024 : -1),
-      std::to_string(tiles_total), std::to_string(tiles_materialized),
-      util::Table::fixed(materialized_fraction, 4),
-      util::Table::fixed(memory_fraction, 4));
-  std::cout << table.str("Full-scale global routing (tiled + multilevel)")
+      std::to_string(tiles_total), std::to_string(storage_bytes / 1024));
+  std::cout << table.str("Full-scale global routing (multilevel)")
             << "\nmultilevel " << util::Table::fixed(ml_seconds, 2)
             << " s vs flat " << util::Table::fixed(flat_seconds, 2)
             << " s (speedup "
@@ -214,11 +194,6 @@ int main(int argc, char** argv) {
   std::cout << "\n"
             << pipeline_table.str("Full-scale pipeline (all four stages)");
 
-  if (memory_fraction >= 0.25) {
-    std::cerr << "full_scale: WARNING memory_fraction "
-              << util::Table::fixed(memory_fraction, 4)
-              << " >= 0.25 of the dense estimate\n";
-  }
   if (pipeline_rss_kb > kPipelineRssBudgetKb) {
     std::cerr << "full_scale: FAIL peak RSS " << pipeline_rss_kb / 1024
               << " MiB exceeds the " << kPipelineRssBudgetKb / 1024

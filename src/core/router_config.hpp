@@ -88,14 +88,10 @@ struct RouterConfig {
     ilp_node_budget = nodes;
     return *this;
   }
-  /// Tiled/sparse congestion storage for global routing (DESIGN.md §15):
-  /// demand/cost tables materialize lazily per touched tile. The routed
-  /// result is bit-identical either way; turn it on for paper-scale grids
-  /// where the dense tables dominate memory.
-  RouterConfig& with_tiled_grid(bool enabled) {
-    global.tiled_grid = enabled;
-    return *this;
-  }
+  /// No-op kept for source compatibility: the global congestion graph has
+  /// one storage layout (DESIGN.md §15), so there is nothing to switch.
+  /// Scheduled for removal together with its last caller in perfbench.
+  RouterConfig& with_tiled_grid(bool /*enabled*/) { return *this; }
   /// Toggle the coarsen–route–refine multilevel global pass (DESIGN.md
   /// §15): long subnets route on a coarsened graph first, then refine
   /// inside the resulting corridor (full-grid fallback on failure).

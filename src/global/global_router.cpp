@@ -154,7 +154,7 @@ GlobalRouter::GlobalRouter(const grid::RoutingGrid& grid,
                            GlobalRouterConfig config)
     : grid_(&grid),
       config_(config),
-      graph_(grid, config.stitch_aware_capacity, config.tiled_grid),
+      graph_(grid, config.stitch_aware_capacity),
       pops_counter_(&telemetry::counter(telemetry::keys::kGlobalSearchPops)),
       pattern_hits_counter_(
           &telemetry::counter(telemetry::keys::kGlobalPatternHits)),
@@ -444,10 +444,11 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
 
   run_reroute_passes(result, pool, cancel);
   finalize_totals(result);
-  // Storage telemetry (execution-dependent by prefix: the dense and tiled
-  // modes produce different values over byte-identical routing).
+  // Storage telemetry (DESIGN.md §15). Every tile is resident, so
+  // tiles_materialized equals tiles_total; it stays as a key because
+  // benchmark tooling reads it.
   telemetry::counter(telemetry::keys::kGridTilesMaterialized)
-      .add(static_cast<std::int64_t>(graph_.tiles_materialized()));
+      .add(static_cast<std::int64_t>(graph_.tiles_total()));
   telemetry::counter(telemetry::keys::kGridTilesTotal)
       .add(static_cast<std::int64_t>(graph_.tiles_total()));
   telemetry::counter(telemetry::keys::kGridStorageBytes)
@@ -461,8 +462,7 @@ void GlobalRouter::seed(const GlobalResult& result) {
   // demand state (and the psi memo it feeds) afterwards is exactly what a
   // route() ending in `result` left behind, which is what makes a reloaded
   // resident design bit-identical to a long-lived one.
-  graph_ = RoutingGraph(*grid_, config_.stitch_aware_capacity,
-                        config_.tiled_grid);
+  graph_ = RoutingGraph(*grid_, config_.stitch_aware_capacity);
   congestion_.reset(graph_, result.paths.size(), config_.vertex_cost);
   for (std::size_t idx = 0; idx < result.paths.size(); ++idx)
     if (result.paths[idx].routed)

@@ -48,11 +48,6 @@ struct GlobalRouterConfig {
   /// batch size the result is bit-identical for any thread count. Part of
   /// the determinism contract: never derive this from the thread count.
   int net_batch_size = 1;
-  /// Tiled/sparse congestion storage (DESIGN.md §15): demand/cost tables
-  /// materialize lazily per touched tile. Bit-identical results either way;
-  /// flip it on for paper-scale grids where the dense tables dominate
-  /// memory.
-  bool tiled_grid = false;
   /// Coarsen–route–refine multilevel pass for long subnets (DESIGN.md §15).
   MultilevelConfig multilevel;
 };

@@ -6,29 +6,29 @@ namespace mebl::grid {
 
 using geom::Orientation;
 
-int CapacityModel::horizontal_edge_capacity([[maybe_unused]] int tx, int ty) const {
-  assert(tx >= 0 && tx + 1 < grid_->tiles_x());
+int CapacityModel::horizontal_edge_capacity(int ty) const {
+  assert(ty >= 0 && ty < grid_->tiles_y());
   const int h_layers =
       static_cast<int>(grid_->layers_with(Orientation::kHorizontal).size());
   return grid_->tile_y_span(ty).length() * h_layers;
 }
 
-int CapacityModel::vertical_edge_capacity(int tx, [[maybe_unused]] int ty) const {
-  assert(ty >= 0 && ty + 1 < grid_->tiles_y());
+int CapacityModel::vertical_edge_capacity(int tx) const {
+  assert(tx >= 0 && tx < grid_->tiles_x());
   const int v_layers =
       static_cast<int>(grid_->layers_with(Orientation::kVertical).size());
   return grid_->stitch().free_tracks(grid_->tile_x_span(tx)) * v_layers;
 }
 
-int CapacityModel::vertical_edge_capacity_no_stitch(int tx, [[maybe_unused]] int ty) const {
-  assert(ty >= 0 && ty + 1 < grid_->tiles_y());
+int CapacityModel::vertical_edge_capacity_no_stitch(int tx) const {
+  assert(tx >= 0 && tx < grid_->tiles_x());
   const int v_layers =
       static_cast<int>(grid_->layers_with(Orientation::kVertical).size());
   return grid_->tile_x_span(tx).length() * v_layers;
 }
 
-int CapacityModel::line_end_capacity(int tx, int ty) const {
-  (void)ty;
+int CapacityModel::line_end_capacity(int tx) const {
+  assert(tx >= 0 && tx < grid_->tiles_x());
   const int v_layers =
       static_cast<int>(grid_->layers_with(Orientation::kVertical).size());
   return grid_->stitch().line_end_capacity(grid_->tile_x_span(tx)) * v_layers;

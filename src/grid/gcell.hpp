@@ -22,25 +22,32 @@ struct GCellId {
 /// vertical tracks outside stitch unfriendly regions, an upper bound on the
 /// number of vertical line ends the tile can host without risking short
 /// polygons.
+///
+/// Stitching lines are vertical, so every capacity is uniform along one
+/// axis and the signatures take only the coordinate it depends on: the
+/// tile row for horizontal boundaries, the tile column for vertical
+/// boundaries and line ends.
 class CapacityModel {
  public:
   explicit CapacityModel(const RoutingGrid& grid) : grid_(&grid) {}
 
-  /// Wires crossing the boundary between (tx,ty) and (tx+1,ty) are
+  /// Wires crossing a vertical boundary between two tiles of row ty are
   /// horizontal; capacity = tracks along y times horizontal layer count.
-  [[nodiscard]] int horizontal_edge_capacity(int tx, int ty) const;
+  [[nodiscard]] int horizontal_edge_capacity(int ty) const;
 
-  /// Wires crossing the boundary between (tx,ty) and (tx,ty+1) are vertical;
-  /// capacity = stitch-free vertical tracks times vertical layer count.
-  [[nodiscard]] int vertical_edge_capacity(int tx, int ty) const;
+  /// Wires crossing a horizontal boundary between two tiles of column tx
+  /// are vertical; capacity = stitch-free vertical tracks times vertical
+  /// layer count.
+  [[nodiscard]] int vertical_edge_capacity(int tx) const;
 
-  /// Line-end capacity of tile (tx,ty): vertical tracks outside stitch
-  /// unfriendly regions, times vertical layer count.
-  [[nodiscard]] int line_end_capacity(int tx, int ty) const;
+  /// Line-end capacity of every tile of column tx: vertical tracks outside
+  /// stitch unfriendly regions, times vertical layer count.
+  [[nodiscard]] int line_end_capacity(int tx) const;
 
-  /// Same capacities with the stitch plan ignored (conventional-lithography
-  /// estimation, used for the baseline router comparison).
-  [[nodiscard]] int vertical_edge_capacity_no_stitch(int tx, int ty) const;
+  /// Vertical boundary capacity with the stitch plan ignored
+  /// (conventional-lithography estimation, used for the baseline router
+  /// comparison).
+  [[nodiscard]] int vertical_edge_capacity_no_stitch(int tx) const;
 
  private:
   const RoutingGrid* grid_;

@@ -7,6 +7,21 @@
 
 namespace mebl::netlist {
 
+namespace {
+
+/// Largest accepted layout extent per axis, in tracks: 4x the widest
+/// paper-scale die (S38417@full_scale, 15 900 x 8 610 tracks). A header is
+/// a few bytes, but the stitch plan, the tile grid and the detail grid all
+/// grow with the extent, so an unchecked one makes a tiny hostile file
+/// allocate without bound.
+constexpr geom::Coord kMaxExtent = 1 << 16;
+
+/// Largest accepted routing-layer count: the paper's stacks have 3 and 6
+/// layers; the detail grid grows linearly with the count.
+constexpr int kMaxRoutingLayers = 16;
+
+}  // namespace
+
 void write_design(std::ostream& out, const Design& design) {
   const auto& grid = design.grid;
   const auto& stitch = grid.stitch();
@@ -71,22 +86,34 @@ std::optional<Design> read_design(std::istream& in) {
   if (!(in >> word >> width >> height >> layers >> tile) || word != "grid" ||
       width <= 0 || height <= 0 || layers < 2 || tile <= 0)
     return fail("malformed 'grid' record");
+  if (width > kMaxExtent || height > kMaxExtent)
+    return fail("'grid' extent above the supported maximum");
+  if (layers > kMaxRoutingLayers)
+    return fail("'grid' layer count above the supported maximum");
 
   if (!(in >> word)) return fail("missing stitch record");
   std::optional<grid::StitchPlan> plan;
   if (word == "stitch") {
     geom::Coord pitch = 0, epsilon = 0, escape = 0;
-    if (!(in >> pitch >> epsilon >> escape) || pitch <= 0 || epsilon < 0)
+    if (!(in >> pitch >> epsilon >> escape) || pitch <= 0 || epsilon < 0 ||
+        escape < 0)
       return fail("malformed 'stitch' record");
     plan = grid::StitchPlan(width, pitch, epsilon, escape);
   } else if (word == "stitch_lines") {
     geom::Coord epsilon = 0, escape = 0;
     std::size_t count = 0;
-    if (!(in >> epsilon >> escape >> count) || epsilon < 0)
+    if (!(in >> epsilon >> escape >> count) || epsilon < 0 || escape < 0)
       return fail("malformed 'stitch_lines' record");
-    std::vector<geom::Coord> lines(count);
-    for (auto& x : lines)
+    // A written plan's lines are distinct and lie strictly inside
+    // (0, width), so a longer list is malformed.
+    if (count >= static_cast<std::size_t>(width))
+      return fail("'stitch_lines' count exceeds the layout width");
+    std::vector<geom::Coord> lines;
+    for (std::size_t i = 0; i < count; ++i) {
+      geom::Coord x = 0;
       if (!(in >> x)) return fail("truncated 'stitch_lines' record");
+      lines.push_back(x);
+    }
     plan = grid::StitchPlan::from_lines(width, std::move(lines), epsilon,
                                         escape);
   } else {

@@ -36,14 +36,10 @@ const MetricSpec kSpecs[] = {
     {"vias", Direction::kLowerBetter, {0.0, kSizeRel}},
     {"seconds", Direction::kLowerBetter, {kTimeAbs, kTimeRel}},
     {"total_seconds", Direction::kLowerBetter, {kTimeAbs, kTimeRel}},
-    // Sparse-grid storage gates (DESIGN.md §15): how much of the tile grid
-    // the tiled representation materialized, and its resident bytes as a
-    // fraction of the dense estimate. Deterministic (thread-invariant), so
-    // they gate at the usual size slack; peak_rss_kb stays ungated
-    // (machine-dependent).
-    {"tiles_materialized", Direction::kLowerBetter, {0.0, kSizeRel}},
-    {"materialized_fraction", Direction::kLowerBetter, {0.0, kSizeRel}},
-    {"memory_fraction", Direction::kLowerBetter, {0.0, kSizeRel}},
+    // Congestion-graph footprint (DESIGN.md §15): resident bytes of the
+    // global graph's rows. Deterministic (thread-invariant), so it gates at
+    // the usual size slack; peak_rss_kb stays ungated (machine-dependent).
+    {"storage_bytes", Direction::kLowerBetter, {0.0, kSizeRel}},
     {"routability_pct", Direction::kHigherBetter, {}},
     {"routed_nets", Direction::kHigherBetter, {}},
     {"yield", Direction::kHigherBetter, {}},

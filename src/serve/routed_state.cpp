@@ -1,5 +1,7 @@
 #include "serve/routed_state.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -45,14 +47,22 @@ std::vector<int> collect_vertex_demand(const global::RoutingGraph& graph) {
   return values;
 }
 
+/// A demand array of exactly `size` entries, the size the embedded
+/// design's tile grid fixes. The values are read one at a time, so memory
+/// grows only with what the stream really holds.
 std::optional<std::vector<int>> read_demand(std::istream& in,
-                                            const std::string& expect) {
+                                            const std::string& expect,
+                                            std::size_t size) {
   std::string word;
   std::size_t count = 0;
-  if (!(in >> word >> count) || word != expect) return std::nullopt;
-  std::vector<int> values(count);
-  for (int& v : values)
+  if (!(in >> word >> count) || word != expect || count != size)
+    return std::nullopt;
+  std::vector<int> values;
+  for (std::size_t i = 0; i < count; ++i) {
+    int v = 0;
     if (!(in >> v)) return std::nullopt;
+    values.push_back(v);
+  }
   return values;
 }
 
@@ -139,21 +149,42 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
   if (!(in >> word >> design_bytes) || word != "design")
     return fail("malformed 'design' record");
   in.get();  // the newline terminating the design header
-  std::string design_text(design_bytes, '\0');
-  if (!in.read(design_text.data(),
-               static_cast<std::streamsize>(design_bytes)))
-    return fail("truncated embedded design");
+  // Read in bounded chunks: the declared size is untrusted, so the buffer
+  // grows only as far as the stream really reaches.
+  std::string design_text;
+  for (std::size_t left = design_bytes; left > 0;) {
+    char chunk[4096];
+    const std::size_t want = std::min(left, sizeof(chunk));
+    if (!in.read(chunk, static_cast<std::streamsize>(want)))
+      return fail("truncated embedded design");
+    design_text.append(chunk, want);
+    left -= want;
+  }
   std::istringstream design_in(design_text);
   auto design = netlist::read_design(design_in);
   if (!design) return fail("embedded design does not parse");
 
   LoadedState loaded{RoutedState{std::move(*design), {}, {}, {}}, {}, {}, {}};
 
+  // A tile path is 4-connected inside the design's tile grid; reseeding the
+  // global demand indexes its edges without further checks.
+  const grid::RoutingGrid& rg = loaded.state.design.grid;
+  const auto tile_ok = [&](const grid::GCellId& tile,
+                           const grid::GCellId* prev) {
+    if (tile.tx < 0 || tile.tx >= rg.tiles_x() || tile.ty < 0 ||
+        tile.ty >= rg.tiles_y())
+      return false;
+    return prev == nullptr ||
+           std::abs(tile.tx - prev->tx) + std::abs(tile.ty - prev->ty) == 1;
+  };
+
   std::size_t count = 0;
   if (!(in >> word >> count) || word != "paths")
     return fail("malformed 'paths' record");
-  loaded.state.global.paths.resize(count);
-  for (global::TilePath& path : loaded.state.global.paths) {
+  // Record counts are untrusted: every list below grows one parsed record
+  // at a time instead of being pre-sized from its count.
+  for (std::size_t i = 0; i < count; ++i) {
+    global::TilePath& path = loaded.state.global.paths.emplace_back();
     int routed = 0;
     std::size_t tiles = 0;
     if (!(in >> word >> path.net >> path.pin_a.x >> path.pin_a.y >>
@@ -161,15 +192,19 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
         word != "p")
       return fail("malformed 'p' record");
     path.routed = routed != 0;
-    path.tiles.resize(tiles);
-    for (grid::GCellId& tile : path.tiles)
+    for (std::size_t t = 0; t < tiles; ++t) {
+      grid::GCellId tile;
       if (!(in >> tile.tx >> tile.ty)) return fail("truncated tile path");
+      if (!tile_ok(tile, path.tiles.empty() ? nullptr : &path.tiles.back()))
+        return fail("tile path leaves the grid or is not 4-connected");
+      path.tiles.push_back(tile);
+    }
   }
 
   if (!(in >> word >> count) || word != "runs")
     return fail("malformed 'runs' record");
-  loaded.state.plan.runs.resize(count);
-  for (assign::GlobalRun& run : loaded.state.plan.runs) {
+  for (std::size_t i = 0; i < count; ++i) {
+    assign::GlobalRun& run = loaded.state.plan.runs.emplace_back();
     char dir = 'V';
     int ripped = 0;
     std::size_t pieces = 0;
@@ -182,41 +217,44 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
     run.dir = dir == 'V' ? geom::Orientation::kVertical
                          : geom::Orientation::kHorizontal;
     run.ripped = ripped != 0;
-    run.pieces.resize(pieces);
-    for (auto& [span, track] : run.pieces)
+    for (std::size_t k = 0; k < pieces; ++k) {
+      auto& [span, track] = run.pieces.emplace_back();
       if (!(in >> span.lo >> span.hi >> track))
         return fail("truncated piece list");
+    }
   }
 
   if (!(in >> word >> count) || word != "path_runs")
     return fail("malformed 'path_runs' record");
-  loaded.state.plan.runs_of_path.resize(count);
-  for (std::vector<std::size_t>& runs : loaded.state.plan.runs_of_path) {
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::size_t>& runs =
+        loaded.state.plan.runs_of_path.emplace_back();
     std::size_t n = 0;
     if (!(in >> word >> n) || word != "q") return fail("malformed 'q' record");
-    runs.resize(n);
-    for (std::size_t& run : runs)
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t run = 0;
       if (!(in >> run) || run >= loaded.state.plan.runs.size())
         return fail("run index out of range");
+      runs.push_back(run);
+    }
   }
 
   if (!(in >> word >> count) || word != "subnets")
     return fail("malformed 'subnets' record");
   auto& detail = loaded.state.detail;
-  detail.subnet_routed.resize(count);
-  detail.subnet_nodes.resize(count);
-  detail.subnet_method.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     int routed = 0, method = 0;
     std::size_t nodes = 0;
     if (!(in >> word >> routed >> method >> nodes) || word != "s" ||
         method < 0 || method > 2)
       return fail("malformed 's' record");
-    detail.subnet_routed[i] = routed != 0;
-    detail.subnet_method[i] = static_cast<detail::RouteMethod>(method);
-    detail.subnet_nodes[i].resize(nodes);
-    for (geom::Point3& p : detail.subnet_nodes[i])
+    detail.subnet_routed.push_back(routed != 0);
+    detail.subnet_method.push_back(static_cast<detail::RouteMethod>(method));
+    std::vector<geom::Point3>& points = detail.subnet_nodes.emplace_back();
+    for (std::size_t k = 0; k < nodes; ++k) {
+      geom::Point3& p = points.emplace_back();
       if (!(in >> p.x >> p.y >> p.layer)) return fail("truncated node list");
+    }
   }
 
   if (!(in >> word >> detail.routed >> detail.failed >>
@@ -231,11 +269,15 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
       word != "global_totals")
     return fail("malformed 'global_totals' record");
 
-  auto h = read_demand(in, "demand_h");
+  const auto tiles_x =
+      static_cast<std::size_t>(loaded.state.design.grid.tiles_x());
+  const auto tiles_y =
+      static_cast<std::size_t>(loaded.state.design.grid.tiles_y());
+  auto h = read_demand(in, "demand_h", (tiles_x - 1) * tiles_y);
   if (!h) return fail("malformed 'demand_h' record");
-  auto v = read_demand(in, "demand_v");
+  auto v = read_demand(in, "demand_v", tiles_x * (tiles_y - 1));
   if (!v) return fail("malformed 'demand_v' record");
-  auto vertex = read_demand(in, "demand_vertex");
+  auto vertex = read_demand(in, "demand_vertex", tiles_x * tiles_y);
   if (!vertex) return fail("malformed 'demand_vertex' record");
   loaded.h_demand = std::move(*h);
   loaded.v_demand = std::move(*v);

@@ -35,11 +35,11 @@ inline constexpr char kMlCoarseNets[] = "global.ml.coarse_nets";
 inline constexpr char kMlCorridorHits[] = "global.ml.corridor_hits";
 inline constexpr char kMlCorridorFallbacks[] = "global.ml.corridor_fallbacks";
 
-// grid storage (DESIGN.md §15). Describes the *representation* (how many
-// tiles the sparse storage materialized, how many bytes it holds), not the
-// routed result: the dense and tiled modes produce byte-identical routing
-// but different grid.* values, so the whole prefix is execution-dependent —
-// canonical report bytes stay invariant under the storage switch.
+// grid storage (DESIGN.md §15). Describes the congestion graph's
+// *representation* (tiles held, resident bytes), not the routed result.
+// Every tile is resident, so tiles_materialized equals tiles_total. The
+// prefix stays execution-dependent: byte counts follow allocator capacity,
+// and canonical report bytes must not move with the representation.
 inline constexpr char kGridTilesMaterialized[] = "grid.tiles_materialized";
 inline constexpr char kGridTilesTotal[] = "grid.tiles_total";
 inline constexpr char kGridStorageBytes[] = "grid.storage_bytes";

@@ -84,6 +84,30 @@ TEST(NetlistIo, RejectsMalformedGrid) {
   EXPECT_FALSE(read_design(buffer).has_value());
 }
 
+// A few bytes must not make the parser allocate without bound: a
+// `stitch_lines` count past the layout width, and an extent or layer count
+// past the supported maximum, are structured failures, not exceptions.
+TEST(NetlistIo, RejectsHostileCountsAndExtentsWithoutThrowing) {
+  for (const char* text :
+       {"mebl 1\ngrid 10 10 2 1\nstitch_lines 0 0 4611686018427387904\n",
+        "mebl 1\ngrid 10 10 2 1\nstitch_lines 0 0 10 1 2 3 4 5 6 7 8 9 9\n",
+        "mebl 1\ngrid 2000000000 10 2 1\nstitch 1 0 0\n",
+        "mebl 1\ngrid 10 2000000000 2 1\nstitch 5 1 2\n",
+        "mebl 1\ngrid 10 10 1000000 1\nstitch 5 1 2\n",
+        "mebl 1\ngrid 10 10 2 1\nstitch 5 1 -1\n"}) {
+    std::stringstream buffer(text);
+    std::optional<Design> design;
+    EXPECT_NO_THROW(design = read_design(buffer)) << text;
+    EXPECT_FALSE(design.has_value()) << text;
+  }
+  // The largest legal line count still parses.
+  std::stringstream buffer(
+      "mebl 1\ngrid 10 10 2 5\nstitch_lines 0 0 9 1 2 3 4 5 6 7 8 9\n");
+  const auto design = read_design(buffer);
+  ASSERT_TRUE(design.has_value());
+  EXPECT_EQ(design->grid.stitch().lines().size(), 9u);
+}
+
 TEST(NetlistIo, FileRoundTrip) {
   const Design original = make_design();
   const std::string path = ::testing::TempDir() + "/mebl_io_test.mebl";

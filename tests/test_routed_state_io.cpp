@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_suite/circuit_generator.hpp"
 #include "serve/resident_design.hpp"
@@ -143,6 +145,52 @@ TEST(RoutedStateIo, RejectsTamperedDemand) {
 
   std::istringstream tampered(text);
   EXPECT_EQ(ResidentDesign::from_state(tampered), nullptr);
+}
+
+// Reseeding the global demand indexes the edges of every saved tile path,
+// so a path that leaves the tile grid, or whose steps are not 4-adjacent,
+// is rejected at parse time instead of indexing out of bounds.
+TEST(RoutedStateIo, RejectsTilePathOffTheGridOrNotFourConnected) {
+  ResidentDesign resident(small_design());
+  ASSERT_TRUE(resident.route_full().ok);
+  std::ostringstream buffer;
+  ASSERT_TRUE(resident.save_state(buffer));
+  const std::string text = buffer.str();
+
+  // The first `p` record with at least two tiles, as tokens.
+  std::size_t begin = 0;
+  std::vector<std::string> tokens;
+  for (std::size_t at = text.find("\np "); at != std::string::npos;
+       at = text.find("\np ", at + 1)) {
+    begin = at + 1;
+    std::istringstream line(
+        text.substr(begin, text.find('\n', begin) - begin));
+    tokens.clear();
+    for (std::string token; line >> token;) tokens.push_back(token);
+    if (tokens.size() >= 12) break;  // p net ax ay bx by routed n tx ty tx ty
+  }
+  ASSERT_GE(tokens.size(), 12u);
+  const std::size_t end = text.find('\n', begin);
+
+  const auto with_first_tile = [&](const std::string& tx,
+                                   const std::string& ty) {
+    std::vector<std::string> edited = tokens;
+    edited[8] = tx;
+    edited[9] = ty;
+    std::string line;
+    for (const std::string& token : edited)
+      line += (line.empty() ? "" : " ") + token;
+    return text.substr(0, begin) + line + text.substr(end);
+  };
+  // Off the grid, and a repeated tile (a step of length zero).
+  for (const std::string& tampered :
+       {with_first_tile("-1", tokens[9]),
+        with_first_tile(tokens[10], tokens[11])}) {
+    std::istringstream parse(tampered);
+    EXPECT_FALSE(read_routed_state(parse).has_value());
+    std::istringstream load(tampered);
+    EXPECT_EQ(ResidentDesign::from_state(load), nullptr);
+  }
 }
 
 }  // namespace

@@ -72,22 +72,22 @@ TEST(RoutingGrid, InBounds) {
 TEST(CapacityModel, HorizontalEdgeCapacityCountsHorizontalLayers) {
   const RoutingGrid grid = make_grid(90, 60, 3, 30);  // H layers: 1 and 3
   const CapacityModel model(grid);
-  EXPECT_EQ(model.horizontal_edge_capacity(0, 0), 30 * 2);
+  EXPECT_EQ(model.horizontal_edge_capacity(0), 30 * 2);
 }
 
 TEST(CapacityModel, VerticalEdgeCapacityLosesStitchTracks) {
   const RoutingGrid grid = make_grid(90, 60, 3, 30);  // V layer: 2
   const CapacityModel model(grid);
   // Tile column 0 spans x in [0,29] and contains the line x=15.
-  EXPECT_EQ(model.vertical_edge_capacity(0, 0), 29);
-  EXPECT_EQ(model.vertical_edge_capacity_no_stitch(0, 0), 30);
+  EXPECT_EQ(model.vertical_edge_capacity(0), 29);
+  EXPECT_EQ(model.vertical_edge_capacity_no_stitch(0), 30);
 }
 
 TEST(CapacityModel, LineEndCapacityExcludesUnfriendlyRegions) {
   const RoutingGrid grid = make_grid(90, 60, 3, 30);
   const CapacityModel model(grid);
   // Column 0: x in [0,29]; unfriendly: 14,15,16 (line 15) and 29 (line 30).
-  EXPECT_EQ(model.line_end_capacity(0, 0), 26);
+  EXPECT_EQ(model.line_end_capacity(0), 26);
 }
 
 }  // namespace

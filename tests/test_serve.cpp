@@ -860,6 +860,35 @@ TEST(ServeServer, StalledReaderDoesNotBlockOtherClients) {
   server.stop();
 }
 
+// A `load` whose design text declares hostile counts (a stitch-line count
+// of 2^62, a two-billion-track extent) gets an error reply; the daemon
+// survives it and answers the same client's next ping.
+TEST(ServeServer, HostileDesignLoadGetsErrorAndDaemonKeepsServing) {
+  ServerConfig config;
+  config.socket_path = test_socket_path() + ".hostile";
+  config.lanes = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  Client client;
+  ASSERT_TRUE(client.connect(config.socket_path));
+
+  for (const char* text :
+       {"mebl 1\ngrid 10 10 2 1\nstitch_lines 0 0 4611686018427387904\n",
+        "mebl 1\ngrid 2000000000 10 2 1\nstitch 1 0 0\n"}) {
+    Request load = make_request(Op::kLoad, 0);
+    load.design = "hostile";
+    load.design_text = text;
+    const auto reply = client.call(std::move(load));
+    ASSERT_TRUE(reply.has_value()) << text;
+    EXPECT_EQ(reply->type, "error") << text;
+    EXPECT_EQ(reply->error, "cannot parse design") << text;
+  }
+  const auto pong = client.call(make_request(Op::kPing, 0));
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, "ack");
+  server.stop();
+}
+
 TEST(ServeServer, SaveAndLoadStateRoundTripOverSocket) {
   ServerConfig config;
   config.socket_path = test_socket_path() + ".b";
