@@ -57,73 +57,98 @@ int main(int argc, char** argv) {
   }
 
   const auto generator_config = bench_suite::GeneratorConfig::full_scale();
-  const auto circuit =
-      bench_suite::generate_circuit(*spec, generator_config, bench_common::kSeed);
-  const auto subnets = netlist::decompose_all(circuit.netlist);
-
-  global::GlobalRouterConfig ml_config;
-  ml_config.net_batch_size = 32;  // the pipeline's parallel batching default
-  ml_config.multilevel.enabled = true;
-
-  util::Timer timer;
-  global::GlobalRouter ml_router(circuit.grid, ml_config);
-  const auto ml_result = ml_router.route(subnets, &pool);
-  const double ml_seconds = timer.seconds();
-  const long rss_kb = peak_rss_kb();
-
-  const auto& graph = ml_router.graph();
-  const auto tiles_total = graph.tiles_total();
-  const auto storage_bytes = graph.storage_bytes();
-  const auto counter_value = [](const char* key) {
-    return telemetry::counter(key).value();
-  };
-  const auto coarse_nets = counter_value(telemetry::keys::kMlCoarseNets);
-  const auto corridor_hits = counter_value(telemetry::keys::kMlCorridorHits);
-  const auto corridor_fallbacks =
-      counter_value(telemetry::keys::kMlCorridorFallbacks);
-
+  // The global rows live in their own scope: the S38417 instance and both
+  // routers are freed before the pipeline row, so its peak RSS does not
+  // count them.
   {
-    report::Json::Object metrics;
-    metrics["subnets"] = static_cast<std::int64_t>(subnets.size());
-    metrics["wirelength"] = ml_result.wirelength;
-    metrics["total_vertex_overflow"] = ml_result.total_vertex_overflow;
-    metrics["max_vertex_overflow"] = ml_result.max_vertex_overflow;
-    metrics["total_edge_overflow"] = ml_result.total_edge_overflow;
-    metrics["seconds"] = ml_seconds;
-    metrics["peak_rss_kb"] = static_cast<std::int64_t>(rss_kb);
-    metrics["tiles_total"] = static_cast<std::int64_t>(tiles_total);
-    metrics["storage_bytes"] = static_cast<std::int64_t>(storage_bytes);
-    metrics["coarse_nets"] = coarse_nets;
-    metrics["corridor_hits"] = corridor_hits;
-    metrics["corridor_fallbacks"] = corridor_fallbacks;
-    report_scope.add(spec->name + "@full_scale", "global_route_pass",
-                     std::move(metrics));
-  }
+    const auto circuit = bench_suite::generate_circuit(
+        *spec, generator_config, bench_common::kSeed);
+    const auto subnets = netlist::decompose_all(circuit.netlist);
 
-  // Flat comparison: same instance, multilevel off — so the delta
-  // isolates the coarsen–route–refine schedule.
-  global::GlobalRouterConfig flat_config = ml_config;
-  flat_config.multilevel.enabled = false;
-  timer.reset();
-  global::GlobalRouter flat_router(circuit.grid, flat_config);
-  const auto flat_result = flat_router.route(subnets, &pool);
-  const double flat_seconds = timer.seconds();
+    global::GlobalRouterConfig ml_config;
+    ml_config.net_batch_size = 32;  // the pipeline's parallel batching default
+    ml_config.multilevel.enabled = true;
 
-  {
-    report::Json::Object metrics;
-    metrics["wirelength"] = ml_result.wirelength;
-    metrics["flat_wirelength"] = flat_result.wirelength;
-    metrics["total_vertex_overflow"] = ml_result.total_vertex_overflow;
-    metrics["flat_total_vertex_overflow"] = flat_result.total_vertex_overflow;
-    metrics["total_edge_overflow"] = ml_result.total_edge_overflow;
-    metrics["flat_total_edge_overflow"] = flat_result.total_edge_overflow;
-    metrics["seconds"] = ml_seconds;
-    metrics["flat_seconds"] = flat_seconds;
-    metrics["speedup"] = ml_seconds > 0.0 ? flat_seconds / ml_seconds : 0.0;
-    metrics["coarse_nets"] = coarse_nets;
-    metrics["corridor_hits"] = corridor_hits;
-    metrics["corridor_fallbacks"] = corridor_fallbacks;
-    report_scope.add("full_scale", "multilevel_vs_flat", std::move(metrics));
+    util::Timer timer;
+    global::GlobalRouter ml_router(circuit.grid, ml_config);
+    const auto ml_result = ml_router.route(subnets, &pool);
+    const double ml_seconds = timer.seconds();
+    const long rss_kb = peak_rss_kb();
+
+    const auto& graph = ml_router.graph();
+    const auto tiles_total = graph.tiles_total();
+    const auto storage_bytes = graph.storage_bytes();
+    const auto counter_value = [](const char* key) {
+      return telemetry::counter(key).value();
+    };
+    const auto coarse_nets = counter_value(telemetry::keys::kMlCoarseNets);
+    const auto corridor_hits = counter_value(telemetry::keys::kMlCorridorHits);
+    const auto corridor_fallbacks =
+        counter_value(telemetry::keys::kMlCorridorFallbacks);
+
+    {
+      report::Json::Object metrics;
+      metrics["subnets"] = static_cast<std::int64_t>(subnets.size());
+      metrics["wirelength"] = ml_result.wirelength;
+      metrics["total_vertex_overflow"] = ml_result.total_vertex_overflow;
+      metrics["max_vertex_overflow"] = ml_result.max_vertex_overflow;
+      metrics["total_edge_overflow"] = ml_result.total_edge_overflow;
+      metrics["seconds"] = ml_seconds;
+      metrics["peak_rss_kb"] = static_cast<std::int64_t>(rss_kb);
+      metrics["tiles_total"] = static_cast<std::int64_t>(tiles_total);
+      metrics["storage_bytes"] = static_cast<std::int64_t>(storage_bytes);
+      metrics["coarse_nets"] = coarse_nets;
+      metrics["corridor_hits"] = corridor_hits;
+      metrics["corridor_fallbacks"] = corridor_fallbacks;
+      report_scope.add(spec->name + "@full_scale", "global_route_pass",
+                       std::move(metrics));
+    }
+
+    // Flat comparison: same instance, multilevel off — so the delta
+    // isolates the coarsen–route–refine schedule.
+    global::GlobalRouterConfig flat_config = ml_config;
+    flat_config.multilevel.enabled = false;
+    timer.reset();
+    global::GlobalRouter flat_router(circuit.grid, flat_config);
+    const auto flat_result = flat_router.route(subnets, &pool);
+    const double flat_seconds = timer.seconds();
+
+    {
+      report::Json::Object metrics;
+      metrics["wirelength"] = ml_result.wirelength;
+      metrics["flat_wirelength"] = flat_result.wirelength;
+      metrics["total_vertex_overflow"] = ml_result.total_vertex_overflow;
+      metrics["flat_total_vertex_overflow"] = flat_result.total_vertex_overflow;
+      metrics["total_edge_overflow"] = ml_result.total_edge_overflow;
+      metrics["flat_total_edge_overflow"] = flat_result.total_edge_overflow;
+      metrics["seconds"] = ml_seconds;
+      metrics["flat_seconds"] = flat_seconds;
+      metrics["speedup"] = ml_seconds > 0.0 ? flat_seconds / ml_seconds : 0.0;
+      metrics["coarse_nets"] = coarse_nets;
+      metrics["corridor_hits"] = corridor_hits;
+      metrics["corridor_fallbacks"] = corridor_fallbacks;
+      report_scope.add("full_scale", "multilevel_vs_flat", std::move(metrics));
+    }
+
+    util::Table table("Circuit", "Tracks", "Subnets", "WL", "TVOF", "CPU(s)",
+                      "RSS(MB)", "Tiles", "Graph(KB)");
+    table.add_row(
+        spec->name + "@full_scale",
+        std::to_string(circuit.grid.width()) + "x" +
+            std::to_string(circuit.grid.height()),
+        std::to_string(subnets.size()), std::to_string(ml_result.wirelength),
+        std::to_string(ml_result.total_vertex_overflow),
+        util::Table::fixed(ml_seconds, 2),
+        std::to_string(rss_kb >= 0 ? rss_kb / 1024 : -1),
+        std::to_string(tiles_total), std::to_string(storage_bytes / 1024));
+    std::cout << table.str("Full-scale global routing (multilevel)")
+              << "\nmultilevel " << util::Table::fixed(ml_seconds, 2)
+              << " s vs flat " << util::Table::fixed(flat_seconds, 2)
+              << " s (speedup "
+              << util::Table::fixed(
+                     ml_seconds > 0.0 ? flat_seconds / ml_seconds : 0.0, 2)
+              << "x); coarse nets " << coarse_nets << ", corridor hits "
+              << corridor_hits << ", fallbacks " << corridor_fallbacks << "\n";
   }
 
   // Pipeline row: paper-scale S5378 through every stage with multilevel,
@@ -131,7 +156,7 @@ int main(int argc, char** argv) {
   const auto* pipeline_spec = bench_suite::find_spec("S5378");
   const auto pipeline_circuit = bench_suite::generate_circuit(
       *pipeline_spec, generator_config, bench_common::kSeed);
-  timer.reset();
+  util::Timer timer;
   core::StitchAwareRouter pipeline_router(
       pipeline_circuit.grid, pipeline_circuit.netlist,
       core::RouterConfig::stitch_aware()
@@ -140,13 +165,16 @@ int main(int argc, char** argv) {
   const auto pipeline = pipeline_router.run();
   const double pipeline_seconds = timer.seconds();
   const long pipeline_rss_kb = peak_rss_kb();
+  const auto stage_seconds = [&](core::Stage stage) {
+    return pipeline.stages.at(static_cast<std::size_t>(stage)).seconds;
+  };
   {
     report::Json::Object metrics =
         report::QualitySummary::from(pipeline, pipeline_seconds).to_metrics();
-    metrics["global_s"] = pipeline.times.global_seconds;
-    metrics["layer_s"] = pipeline.times.layer_seconds;
-    metrics["track_s"] = pipeline.times.track_seconds;
-    metrics["detail_s"] = pipeline.times.detail_seconds;
+    metrics["global_s"] = stage_seconds(core::Stage::kGlobal);
+    metrics["layer_s"] = stage_seconds(core::Stage::kLayerAssign);
+    metrics["track_s"] = stage_seconds(core::Stage::kTrackAssign);
+    metrics["detail_s"] = stage_seconds(core::Stage::kDetail);
     metrics["peak_rss_kb"] = static_cast<std::int64_t>(pipeline_rss_kb);
     for (const auto& [name, value] : pipeline.stats().counters)
       if (name.starts_with("detail.storage."))
@@ -155,26 +183,9 @@ int main(int argc, char** argv) {
                      std::move(metrics));
   }
 
-  util::Table table("Circuit", "Tracks", "Subnets", "WL", "TVOF", "CPU(s)",
-                    "RSS(MB)", "Tiles", "Graph(KB)");
-  table.add_row(
-      spec->name + "@full_scale",
-      std::to_string(circuit.grid.width()) + "x" +
-          std::to_string(circuit.grid.height()),
-      std::to_string(subnets.size()), std::to_string(ml_result.wirelength),
-      std::to_string(ml_result.total_vertex_overflow),
-      util::Table::fixed(ml_seconds, 2),
-      std::to_string(rss_kb >= 0 ? rss_kb / 1024 : -1),
-      std::to_string(tiles_total), std::to_string(storage_bytes / 1024));
-  std::cout << table.str("Full-scale global routing (multilevel)")
-            << "\nmultilevel " << util::Table::fixed(ml_seconds, 2)
-            << " s vs flat " << util::Table::fixed(flat_seconds, 2)
-            << " s (speedup "
-            << util::Table::fixed(
-                   ml_seconds > 0.0 ? flat_seconds / ml_seconds : 0.0, 2)
-            << "x); coarse nets " << coarse_nets << ", corridor hits "
-            << corridor_hits << ", fallbacks " << corridor_fallbacks << "\n";
-
+  const auto wall = [&](core::Stage stage) {
+    return util::Table::fixed(stage_seconds(stage), 2);
+  };
   util::Table pipeline_table("Circuit", "Tracks", "Rout.(%)", "WL", "#VIA",
                              "#VV", "#SP", "G/L/T/D (s)", "RSS(MB)");
   pipeline_table.add_row(
@@ -186,10 +197,9 @@ int main(int argc, char** argv) {
       std::to_string(pipeline.metrics.vias),
       std::to_string(pipeline.metrics.via_violations),
       std::to_string(pipeline.metrics.short_polygons),
-      util::Table::fixed(pipeline.times.global_seconds, 2) + "/" +
-          util::Table::fixed(pipeline.times.layer_seconds, 2) + "/" +
-          util::Table::fixed(pipeline.times.track_seconds, 2) + "/" +
-          util::Table::fixed(pipeline.times.detail_seconds, 2),
+      wall(core::Stage::kGlobal) + "/" + wall(core::Stage::kLayerAssign) +
+          "/" + wall(core::Stage::kTrackAssign) + "/" +
+          wall(core::Stage::kDetail),
       std::to_string(pipeline_rss_kb >= 0 ? pipeline_rss_kb / 1024 : -1));
   std::cout << "\n"
             << pipeline_table.str("Full-scale pipeline (all four stages)");

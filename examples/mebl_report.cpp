@@ -123,7 +123,7 @@ void show_run_report(const RunReport& report) {
             << report.via_density.unfriendly_vias
             << " in unfriendly regions, peak tile "
             << report.via_density.peak_tile_vias << "\n";
-  for (const StageRecord& stage : report.stages) {
+  for (const auto& stage : report.stages) {
     std::cout << "stage    : " << stage.name;
     if (stage.seconds > 0.0)
       std::cout << " (" << format_double(stage.seconds) << " s)";

@@ -402,8 +402,6 @@ int main(int argc, char** argv) {
   core::StitchAwareRouter router(design->grid, design->netlist, config);
   StderrProgress reporter;
   if (progress) router.add_observer(&reporter);
-  report::RunReportBuilder report_builder;
-  if (!report_path.empty()) router.add_observer(&report_builder);
   const auto result = router.run();
   if (!trace_path.empty()) {
     if (!telemetry::Tracer::write_chrome_trace_file(trace_path)) {
@@ -422,7 +420,7 @@ int main(int argc, char** argv) {
   }
   if (!report_path.empty()) {
     const auto report =
-        report_builder.build(result, design->grid, design->netlist);
+        report::build_run_report(result, design->grid, design->netlist);
     report::WriteOptions options;
     options.include_timing = !report_canonical;
     if (!report::write_report_file(report, report_path, options)) {
@@ -442,10 +440,13 @@ int main(int argc, char** argv) {
             << "via violations     : " << result.metrics.via_violations << "\n"
             << "vertical violations: " << result.metrics.vertical_violations
             << "\n"
-            << "stage seconds      : G " << result.times.global_seconds
-            << " / L " << result.times.layer_seconds << " / T "
-            << result.times.track_seconds << " / D "
-            << result.times.detail_seconds << "\n";
+            << "stage seconds      :";
+  const char* separator = " ";
+  for (const core::StageRecord& stage : result.stages) {
+    std::cout << separator << stage.name << " " << stage.seconds;
+    separator = " / ";
+  }
+  std::cout << "\n";
 
   if (!svg_path.empty()) {
     if (!eval::write_svg(*result.grid, svg_path)) {

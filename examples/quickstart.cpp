@@ -41,10 +41,10 @@ int main() {
             << result.metrics.via_violations << "\n"
             << "vertical-routing violations (must be 0): "
             << result.metrics.vertical_violations << "\n"
-            << "stage times  : global " << result.times.global_seconds
-            << "s, layer " << result.times.layer_seconds << "s, track "
-            << result.times.track_seconds << "s, detail "
-            << result.times.detail_seconds << "s\n";
+            << "stage times  :";
+  for (const core::StageRecord& stage : result.stages)
+    std::cout << " " << stage.name << " " << stage.seconds << "s";
+  std::cout << "\n";
 
   return result.metrics.vertical_violations == 0 ? 0 : 1;
 }

@@ -19,71 +19,82 @@ StitchAwareRouter::StitchAwareRouter(const grid::RoutingGrid& grid,
                                      RouterConfig config)
     : grid_(&grid), netlist_(&netlist), config_(std::move(config)) {}
 
+RoutingResult::Recorder::Recorder(RoutingResult& result,
+                                  std::vector<ProgressObserver*> observers,
+                                  const exec::Cancellation& cancel)
+    : result_(&result),
+      observers_(std::move(observers)),
+      cancel_(&cancel),
+      before_(telemetry::snapshot_counters()) {
+  result.stages.clear();
+}
+
+void RoutingResult::Recorder::stage(Stage stage,
+                                    const std::function<void()>& body) {
+  const telemetry::StatsSnapshot before = telemetry::snapshot_counters();
+  util::Timer timer;
+  for (ProgressObserver* observer : observers_)
+    observer->on_stage_begin(stage);
+  body();
+  const double seconds = timer.seconds();
+  result_->stages.push_back(
+      {stage_name(stage), seconds,
+       telemetry::delta(before, telemetry::snapshot_counters())});
+  for (ProgressObserver* observer : observers_)
+    observer->on_stage_end(stage, seconds);
+}
+
+void RoutingResult::Recorder::finish(bool cancelled) {
+  result_->cancelled = cancelled;
+  result_->stop_reason = !cancelled ? exec::StopReason::kNone
+                         : cancel_->reason() == exec::StopReason::kNone
+                             ? exec::StopReason::kUser
+                             : cancel_->reason();
+  result_->stats_ = telemetry::delta(before_, telemetry::snapshot_counters());
+}
+
 RoutingResult StitchAwareRouter::run() {
   TELEMETRY_SPAN("pipeline.run");
   namespace keys = telemetry::keys;
-  const telemetry::StatsSnapshot stats_before = telemetry::snapshot_counters();
-
-  RoutingResult result;
-  const auto subnets = netlist::decompose_all(*netlist_);
 
   // A service shares one pool and one token across jobs (set_pool /
   // set_cancellation); a batch run builds both locally.
+  exec::Cancellation local_cancel;
+  exec::Cancellation& cancel = cancel_ != nullptr ? *cancel_ : local_cancel;
+  RoutingResult result;
+  RoutingResult::Recorder recorder(result, observers_, cancel);
+  const auto subnets = netlist::decompose_all(*netlist_);
   std::optional<exec::ThreadPool> local_pool;
   if (pool_ == nullptr) local_pool.emplace(config_.num_threads);
   exec::ThreadPool& pool = pool_ != nullptr ? *pool_ : *local_pool;
-  exec::Cancellation local_cancel;
-  exec::Cancellation& cancel = cancel_ != nullptr ? *cancel_ : local_cancel;
-  const auto begin_stage = [&](Stage stage) {
-    for (ProgressObserver* observer : observers_)
-      observer->on_stage_begin(stage);
-  };
-  const auto end_stage = [&](Stage stage, double seconds) {
-    for (ProgressObserver* observer : observers_)
-      observer->on_stage_end(stage, seconds);
-  };
   const auto any_wants_cancel = [&] {
     return std::any_of(
         observers_.begin(), observers_.end(),
         [](ProgressObserver* observer) { return observer->should_cancel(); });
   };
-  // Polled at stage boundaries (and, via the global router's progress hook,
-  // between net batches). Sticky through the Cancellation token.
-  const auto cancelled = [&] {
+  // Polled at stage boundaries (and, through on_nets_routed, between net
+  // batches); sticky through the Cancellation token. A stop closes the run
+  // as cancelled.
+  const auto stopped = [&] {
     if (any_wants_cancel()) cancel.request_stop();
-    return cancel.stop_requested();
+    if (!cancel.stop_requested()) return false;
+    recorder.finish(true);
+    return true;
   };
-  const auto finalize = [&](bool was_cancelled) -> RoutingResult& {
-    result.cancelled = was_cancelled;
-    if (was_cancelled) {
-      // The token's reason was set by whichever stop landed first; observer
-      // cancels without an explicit reason read as user cancels.
-      result.stop_reason = cancel.reason() == exec::StopReason::kNone
-                               ? exec::StopReason::kUser
-                               : cancel.reason();
-    }
-    result.stats_ =
-        telemetry::delta(stats_before, telemetry::snapshot_counters());
-    return result;
+  const auto on_nets_routed = [&](std::size_t routed, std::size_t total) {
+    for (ProgressObserver* observer : observers_)
+      observer->on_nets_routed(routed, total);
+    if (any_wants_cancel()) cancel.request_stop();
   };
 
-  // The spans and the StageTimes struct report the same boundaries; the
-  // struct stays populated for API compatibility with existing harnesses.
-  util::Timer timer;
-  {
+  recorder.stage(Stage::kGlobal, [&] {
     TELEMETRY_SPAN("pipeline.global");
-    begin_stage(Stage::kGlobal);
     global::GlobalRouter global_router(*grid_, config_.global);
     global::GlobalRouter::ProgressFn progress;
-    if (!observers_.empty())
-      progress = [&](std::size_t routed, std::size_t total) {
-        for (ProgressObserver* observer : observers_)
-          observer->on_nets_routed(routed, total);
-        if (any_wants_cancel()) cancel.request_stop();
-      };
+    if (!observers_.empty()) progress = on_nets_routed;
     result.global = global_router.route(subnets, &pool, &cancel, progress);
-    // Record the global-stage quality counters before the stage boundary so
-    // per-stage report snapshots carry them.
+    // Record the global-stage quality counters inside the stage so its
+    // report record carries them.
     telemetry::counter(keys::kGlobalWirelength).add(result.global.wirelength);
     telemetry::counter(keys::kGlobalVertexOverflow)
         .add(result.global.total_vertex_overflow);
@@ -91,68 +102,46 @@ RoutingResult StitchAwareRouter::run() {
         .add(result.global.max_vertex_overflow);
     telemetry::counter(keys::kGlobalEdgeOverflow)
         .add(result.global.total_edge_overflow);
-  }
-  result.times.global_seconds = timer.seconds();
-  end_stage(Stage::kGlobal, result.times.global_seconds);
-  if (cancelled()) return finalize(true);
+  });
+  if (stopped()) return result;
 
-  timer.reset();
-  {
+  recorder.stage(Stage::kLayerAssign, [&] {
     TELEMETRY_SPAN("pipeline.layer_assign");
-    begin_stage(Stage::kLayerAssign);
     // Layer assignment runs inside the track stage's assign_panels call,
     // panel by panel, so this stage only extracts the runs and the
     // layer counters land in the track stage's delta.
     result.plan = assign::extract_runs(result.global, *grid_);
-  }
-  result.times.layer_seconds = timer.seconds();
-  end_stage(Stage::kLayerAssign, result.times.layer_seconds);
-  if (cancelled()) return finalize(true);
+  });
+  if (stopped()) return result;
 
-  timer.reset();
-  {
+  recorder.stage(Stage::kTrackAssign, [&] {
     TELEMETRY_SPAN("pipeline.track_assign");
-    begin_stage(Stage::kTrackAssign);
     result.ilp_budget_exceeded =
         assign::assign_panels(result.plan, *grid_,
                               assign::PanelSet::all(*grid_),
                               config_.stage_config(), pool)
             .ilp_budget_exceeded;
-  }
-  result.times.track_seconds = timer.seconds();
-  end_stage(Stage::kTrackAssign, result.times.track_seconds);
-  if (cancelled()) return finalize(true);
+  });
+  if (stopped()) return result;
 
-  timer.reset();
-  {
+  recorder.stage(Stage::kDetail, [&] {
     TELEMETRY_SPAN("pipeline.detail");
-    begin_stage(Stage::kDetail);
     result.grid = std::make_shared<detail::GridGraph>(*grid_);
     detail::DetailedRouter detailed(*result.grid, config_.detail);
     detailed.claim_pins(*netlist_);
     detail::DetailedRouter::ProgressFn progress;
-    if (!observers_.empty())
-      progress = [&](std::size_t routed, std::size_t total) {
-        for (ProgressObserver* observer : observers_)
-          observer->on_nets_routed(routed, total);
-        if (any_wants_cancel()) cancel.request_stop();
-      };
+    if (!observers_.empty()) progress = on_nets_routed;
     result.detail =
         detailed.route_all(subnets, result.plan, &pool, &cancel, progress);
-  }
-  result.times.detail_seconds = timer.seconds();
-  end_stage(Stage::kDetail, result.times.detail_seconds);
-  if (cancelled()) return finalize(true);
+  });
+  if (stopped()) return result;
 
-  timer.reset();
-  {
+  recorder.stage(Stage::kMetrics, [&] {
     TELEMETRY_SPAN("pipeline.metrics");
-    begin_stage(Stage::kMetrics);
     result.metrics =
         eval::compute_metrics(*result.grid, *netlist_, subnets, result.detail);
-    // Counters must land before end_stage fires: stage-boundary observers
-    // (report::RunReportBuilder) snapshot the registry at the boundary, so
-    // anything added later would be missing from the metrics-stage delta.
+    // The quality counters land inside the stage so its record carries
+    // them.
     telemetry::counter(keys::kShortPolygons)
         .add(result.metrics.short_polygons);
     telemetry::counter(keys::kViaViolations)
@@ -163,15 +152,15 @@ RoutingResult StitchAwareRouter::run() {
     telemetry::counter(keys::kVias).add(result.metrics.vias);
     telemetry::counter(keys::kRoutedNets).add(result.metrics.routed_nets);
     telemetry::counter(keys::kTotalNets).add(result.metrics.total_nets);
-    end_stage(Stage::kMetrics, timer.seconds());
-  }
+  });
 
   util::log_info() << "routed " << result.metrics.routed_nets << "/"
                    << result.metrics.total_nets << " nets, #SP="
                    << result.metrics.short_polygons << ", #VV="
                    << result.metrics.via_violations << ", WL="
                    << result.metrics.wirelength;
-  return finalize(false);
+  recorder.finish(false);
+  return result;
 }
 
 }  // namespace mebl::core

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/progress.hpp"
@@ -13,22 +15,14 @@ namespace mebl::exec {
 class ThreadPool;
 }  // namespace mebl::exec
 
-namespace mebl::serve {
-class ResidentDesign;
-}  // namespace mebl::serve
-
 namespace mebl::core {
 
-/// Per-stage wall-clock breakdown of one routing run.
-struct StageTimes {
-  double global_seconds = 0.0;
-  double layer_seconds = 0.0;
-  double track_seconds = 0.0;
-  double detail_seconds = 0.0;
-
-  [[nodiscard]] double total() const noexcept {
-    return global_seconds + layer_seconds + track_seconds + detail_seconds;
-  }
+/// What one pipeline stage did: its wall time and the telemetry counter
+/// delta it produced.
+struct StageRecord {
+  std::string name;
+  double seconds = 0.0;
+  telemetry::StatsSnapshot counters;
 };
 
 /// Everything a routing run produces: the per-stage artifacts, the final
@@ -38,7 +32,10 @@ struct RoutingResult {
   assign::RoutePlan plan;
   detail::DetailedResult detail;
   eval::RouteMetrics metrics;
-  StageTimes times;
+
+  /// One record per stage that ran, in core::Stage order. A full route and
+  /// an ECO record the same five stages (RoutingResult::Recorder).
+  std::vector<StageRecord> stages;
 
   /// Final routed geometry (kept alive for plotting / re-analysis).
   std::shared_ptr<detail::GridGraph> grid;
@@ -65,11 +62,39 @@ struct RoutingResult {
     return stats_;
   }
 
+  class Recorder;
+
  private:
-  friend class StitchAwareRouter;  // populates the snapshot in run()
-  /// The serving layer refreshes the snapshot with per-ECO deltas.
-  friend class mebl::serve::ResidentDesign;
   telemetry::StatsSnapshot stats_;
+};
+
+/// Records one run (a full route or an ECO) into a RoutingResult: each
+/// stage's wall time and counter delta, the whole-run counter delta, and
+/// how the run stopped. Counter snapshots are taken before the observers
+/// fire, at stage begin and at stage end.
+class RoutingResult::Recorder {
+ public:
+  /// Clears `result.stages` and snapshots the counters for the whole-run
+  /// delta. `observers` see every stage's begin and end; `cancel` names the
+  /// stop reason of a cancelled run. The observers and `cancel` must
+  /// outlive the recorder.
+  Recorder(RoutingResult& result, std::vector<ProgressObserver*> observers,
+           const exec::Cancellation& cancel);
+
+  /// Fire the begin event, run `body`, append the stage's record, then
+  /// fire the end event.
+  void stage(Stage stage, const std::function<void()>& body);
+
+  /// Close the run: set `cancelled`, the stop reason (a cancel without an
+  /// explicit reason reads as a user cancel) and the whole-run counter
+  /// delta.
+  void finish(bool cancelled);
+
+ private:
+  RoutingResult* result_;
+  std::vector<ProgressObserver*> observers_;
+  const exec::Cancellation* cancel_;
+  telemetry::StatsSnapshot before_;
 };
 
 /// The complete two-pass bottom-up stitch-aware routing flow (paper Fig. 6):

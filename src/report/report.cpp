@@ -81,7 +81,7 @@ Json to_json(const RunReport& report, const WriteOptions& options) {
   design["stitch_lines"] = report.design.stitch_lines;
 
   Json stages = Json::array();
-  for (const StageRecord& stage : report.stages) {
+  for (const core::StageRecord& stage : report.stages) {
     Json entry = Json::object();
     entry["name"] = stage.name;
     if (options.include_timing) entry["seconds"] = stage.seconds;
@@ -177,7 +177,7 @@ std::optional<RunReport> parse_run_report(const Json& json) {
   if (const Json* stages = json.get("stages");
       stages != nullptr && stages->kind() == Json::Kind::kArray) {
     for (const Json& entry : stages->items()) {
-      StageRecord stage;
+      core::StageRecord stage;
       stage.name = get_string(entry, "name");
       stage.seconds = get_double(entry, "seconds");
       stage.counters = counters_from_json(entry.get("counters"));
@@ -288,8 +288,7 @@ bool write_report_file(const RunReport& report, const std::string& path,
 
 RunReport build_run_report(const core::RoutingResult& result,
                            const grid::RoutingGrid& grid,
-                           const netlist::Netlist& netlist,
-                           std::vector<StageRecord> stages) {
+                           const netlist::Netlist& netlist) {
   RunReport report;
   report.design.width = grid.width();
   report.design.height = grid.height();
@@ -302,18 +301,8 @@ RunReport build_run_report(const core::RoutingResult& result,
   report.design.stitch_lines =
       static_cast<std::int64_t>(grid.stitch().lines().size());
 
-  if (stages.empty()) {
-    // No observer recorded stage boundaries; fall back to the StageTimes
-    // breakdown with whole-run counters only.
-    report.stages.push_back({"global", result.times.global_seconds, {}});
-    report.stages.push_back({"layer_assign", result.times.layer_seconds, {}});
-    report.stages.push_back({"track_assign", result.times.track_seconds, {}});
-    report.stages.push_back({"detail", result.times.detail_seconds, {}});
-  } else {
-    report.stages = std::move(stages);
-  }
-  report.total_seconds = 0.0;
-  for (const StageRecord& stage : report.stages)
+  report.stages = result.stages;
+  for (const core::StageRecord& stage : report.stages)
     report.total_seconds += stage.seconds;
 
   report.metrics = result.metrics;
@@ -364,25 +353,6 @@ RunReport build_run_report(const core::RoutingResult& result,
                            netlist::decompose_all(netlist), result.detail);
   }
   return report;
-}
-
-void RunReportBuilder::on_stage_begin(core::Stage /*stage*/) {
-  stage_begin_ = telemetry::snapshot_counters();
-}
-
-void RunReportBuilder::on_stage_end(core::Stage stage, double seconds) {
-  StageRecord record;
-  record.name = core::stage_name(stage);
-  record.seconds = seconds;
-  record.counters =
-      telemetry::delta(stage_begin_, telemetry::snapshot_counters());
-  stages_.push_back(std::move(record));
-}
-
-RunReport RunReportBuilder::build(const core::RoutingResult& result,
-                                  const grid::RoutingGrid& grid,
-                                  const netlist::Netlist& netlist) const {
-  return build_run_report(result, grid, netlist, stages_);
 }
 
 // ------------------------------------------------------- bench artifacts

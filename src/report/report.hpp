@@ -38,13 +38,6 @@ struct WriteOptions {
   bool include_timing = true;
 };
 
-/// What one pipeline stage did: its telemetry counter delta and wall time.
-struct StageRecord {
-  std::string name;
-  double seconds = 0.0;
-  telemetry::StatsSnapshot counters;
-};
-
 /// Static facts about the routed design, so a report is self-describing.
 struct DesignInfo {
   geom::Coord width = 0;
@@ -113,7 +106,7 @@ struct NetAudit {
 struct RunReport {
   int version = kSchemaVersion;
   DesignInfo design;
-  std::vector<StageRecord> stages;
+  std::vector<core::StageRecord> stages;
   eval::RouteMetrics metrics;
   GlobalSummary global;
   YieldSummary yield;
@@ -144,42 +137,11 @@ struct RunReport {
                                      const std::string& path,
                                      const WriteOptions& options = {});
 
-/// Derive a full RunReport from a finished routing run. `stages` may be
-/// empty (e.g. when no builder observed the run); stage wall times then
-/// come from RoutingResult::times with whole-run counters only.
+/// Derive a full RunReport from a finished routing run; the stage records
+/// are the run's own (RoutingResult::stages).
 [[nodiscard]] RunReport build_run_report(const core::RoutingResult& result,
                                          const grid::RoutingGrid& grid,
-                                         const netlist::Netlist& netlist,
-                                         std::vector<StageRecord> stages = {});
-
-/// ProgressObserver that records a per-stage counter/time snapshot at every
-/// stage boundary of a StitchAwareRouter run. Attach with add_observer(),
-/// run the router, then build() the report:
-///
-///   report::RunReportBuilder builder;
-///   router.add_observer(&builder);
-///   const auto result = router.run();
-///   const auto report = builder.build(result, grid, netlist);
-///
-/// Stage counter deltas are exact: the callbacks fire on the run() thread
-/// after each stage's parallel barrier.
-class RunReportBuilder final : public core::ProgressObserver {
- public:
-  void on_stage_begin(core::Stage stage) override;
-  void on_stage_end(core::Stage stage, double seconds) override;
-
-  [[nodiscard]] RunReport build(const core::RoutingResult& result,
-                                const grid::RoutingGrid& grid,
-                                const netlist::Netlist& netlist) const;
-
-  [[nodiscard]] const std::vector<StageRecord>& stages() const noexcept {
-    return stages_;
-  }
-
- private:
-  telemetry::StatsSnapshot stage_begin_;
-  std::vector<StageRecord> stages_;
-};
+                                         const netlist::Netlist& netlist);
 
 // ------------------------------------------------------- bench artifacts
 

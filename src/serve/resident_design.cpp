@@ -11,7 +11,6 @@
 #include "eval/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "netlist/decompose.hpp"
-#include "telemetry/keys.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -119,9 +118,7 @@ EcoOutcome ResidentDesign::route_full(exec::ThreadPool* pool,
   TELEMETRY_SPAN("serve.route_full");
   util::Timer timer;
   core::StitchAwareRouter router(design_.grid, design_.netlist, config_);
-  report::RunReportBuilder builder;
-  router.add_observer(&builder);
-  if (observer != nullptr) router.add_observer(observer);
+  router.set_observer(observer);
   router.set_pool(pool);
   router.set_cancellation(cancel);
   result_ = router.run();
@@ -135,7 +132,8 @@ EcoOutcome ResidentDesign::route_full(exec::ThreadPool* pool,
     adopt_residency();
     out.ok = true;
   }
-  out.report = builder.build(result_, design_.grid, design_.netlist);
+  out.report = report::build_run_report(result_, design_.grid,
+                                        design_.netlist);
   return out;
 }
 
@@ -238,10 +236,12 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
     snapshot = snap.str();
   }
 
-  const telemetry::StatsSnapshot stats_before = telemetry::snapshot_counters();
-  util::Timer timer;
   exec::Cancellation local_cancel;
   exec::Cancellation& stop = cancel != nullptr ? *cancel : local_cancel;
+  // The ECO records the batch route's five stages (no observers: an ECO
+  // streams no progress events).
+  core::RoutingResult::Recorder recorder(result_, {}, stop);
+  util::Timer timer;
 
   // --- apply the pin moves to the netlist and the subnet list --------------
   if (!pin_moves.empty()) {
@@ -276,112 +276,115 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
   for (std::size_t i = 0; i < subnets_.size(); ++i)
     if (std::binary_search(nets.begin(), nets.end(), subnets_[i].net))
       targets.push_back(i);
-  const std::vector<std::size_t> closure = [&] {
+  std::vector<std::size_t> closure;
+  bool fallback = false;
+  recorder.stage(core::Stage::kGlobal, [&] {
+    {
+      TELEMETRY_SPAN("serve.eco.global");
+      closure = global_->rip_dirty_closure(result_.global, targets);
+    }
+    // The closure no longer pays for itself past this size.
+    fallback = static_cast<double>(closure.size()) >
+               kEcoFullFallbackFraction * static_cast<double>(subnets_.size());
+    if (fallback) return;
     TELEMETRY_SPAN("serve.eco.global");
-    return global_->rip_dirty_closure(result_.global, targets);
-  }();
+    global_->reroute_subset(subnets_, result_.global, closure, pool, &stop);
+  });
   out.dirty_subnets = closure.size();
-
-  if (static_cast<double>(closure.size()) >
-      request.full_fallback_fraction * static_cast<double>(subnets_.size())) {
-    // The closure no longer pays for itself; reroute the whole design
-    // through the ordinary pipeline (which rebuilds all resident state).
+  if (fallback) {
+    // Reroute the whole design through the ordinary pipeline (which
+    // rebuilds all resident state and records its own run).
     EcoOutcome full = route_full(pool, cancel, nullptr);
     full.fallback_full = true;
     full.dirty_subnets = closure.size();
     return full;
   }
 
-  {
-    TELEMETRY_SPAN("serve.eco.global");
-    global_->reroute_subset(subnets_, result_.global, closure, pool, &stop);
-  }
-
   // --- assignment: replan only the panels the closure touches --------------
   {
-  TELEMETRY_SPAN("serve.eco.assign");
-  std::vector<std::uint8_t> changed(result_.global.paths.size(), 0);
-  for (const std::size_t idx : closure) changed[idx] = 1;
-  assign::RoutePlan old_plan = std::move(result_.plan);
-  assign::RoutePlan plan = assign::extract_runs(result_.global, design_.grid);
+    TELEMETRY_SPAN("serve.eco.assign");
+    assign::RoutePlan plan;
+    std::set<int> dirty_columns, dirty_rows;
+    recorder.stage(core::Stage::kLayerAssign, [&] {
+      std::vector<std::uint8_t> changed(result_.global.paths.size(), 0);
+      for (const std::size_t idx : closure) changed[idx] = 1;
+      const assign::RoutePlan old_plan = std::move(result_.plan);
+      plan = assign::extract_runs(result_.global, design_.grid);
 
-  // Unchanged paths produce identical runs, positionally; carry their
-  // layer/track assignment over so only dirty panels replan.
-  for (std::size_t p = 0; p < plan.runs_of_path.size(); ++p) {
-    if (p < changed.size() && changed[p] != 0) continue;
-    if (p >= old_plan.runs_of_path.size()) continue;
-    const auto& old_runs = old_plan.runs_of_path[p];
-    const auto& new_runs = plan.runs_of_path[p];
-    if (old_runs.size() != new_runs.size()) continue;
-    for (std::size_t j = 0; j < new_runs.size(); ++j) {
-      const assign::GlobalRun& src = old_plan.runs[old_runs[j]];
-      assign::GlobalRun& dst = plan.runs[new_runs[j]];
-      dst.layer = src.layer;
-      dst.pieces = src.pieces;
-      dst.ripped = src.ripped;
-      dst.bad_ends = src.bad_ends;
-    }
-  }
-
-  // Dirty panels: every panel holding a run of a changed path, in the old
-  // or the new plan (a rerouted path may leave one panel and enter another).
-  std::set<int> dirty_columns, dirty_rows;
-  const auto collect_panels = [&](const assign::RoutePlan& from) {
-    for (std::size_t p = 0; p < from.runs_of_path.size(); ++p) {
-      if (p >= changed.size() || changed[p] == 0) continue;
-      for (const std::size_t run_id : from.runs_of_path[p]) {
-        const assign::GlobalRun& run = from.runs[run_id];
-        (run.dir == Orientation::kVertical ? dirty_columns : dirty_rows)
-            .insert(run.fixed_tile);
+      // Unchanged paths produce identical runs, positionally; carry their
+      // layer/track assignment over so only dirty panels replan.
+      for (std::size_t p = 0; p < plan.runs_of_path.size(); ++p) {
+        if (p < changed.size() && changed[p] != 0) continue;
+        if (p >= old_plan.runs_of_path.size()) continue;
+        const auto& old_runs = old_plan.runs_of_path[p];
+        const auto& new_runs = plan.runs_of_path[p];
+        if (old_runs.size() != new_runs.size()) continue;
+        for (std::size_t j = 0; j < new_runs.size(); ++j) {
+          const assign::GlobalRun& src = old_plan.runs[old_runs[j]];
+          assign::GlobalRun& dst = plan.runs[new_runs[j]];
+          dst.layer = src.layer;
+          dst.pieces = src.pieces;
+          dst.ripped = src.ripped;
+          dst.bad_ends = src.bad_ends;
+        }
       }
-    }
-  };
-  collect_panels(old_plan);
-  collect_panels(plan);
 
-  // ECO only runs solvers whose result is a pure function of the instance:
-  // a wall-clock ILP budget would break the bit-identity / replay contract,
-  // so TrackAlgorithm::kIlp runs here only in its deterministic node-budget
-  // mode (RouterConfig::ilp_node_budget > 0, no clock consulted anywhere)
-  // and degrades to the graph heuristic otherwise (DESIGN.md §12). The
-  // panel pass is deterministic at any pool size, so ECO ILP reroutes
-  // still pass the verify replay gate.
-  assign::StageConfig stage = config_.stage_config();
-  if (stage.track == assign::TrackMethod::kIlp && stage.ilp.node_budget <= 0)
-    stage.track = assign::TrackMethod::kGraph;
-  std::optional<exec::ThreadPool> inline_pool;
-  assign::assign_panels(
-      plan, design_.grid,
-      {{dirty_columns.begin(), dirty_columns.end()},
-       {dirty_rows.begin(), dirty_rows.end()}},
-      stage, pool != nullptr ? *pool : inline_pool.emplace(1));
-  result_.plan = std::move(plan);
+      // Dirty panels: every panel holding a run of a changed path, in the
+      // old or the new plan (a rerouted path may leave one panel and enter
+      // another).
+      const auto collect_panels = [&](const assign::RoutePlan& from) {
+        for (std::size_t p = 0; p < from.runs_of_path.size(); ++p) {
+          if (p >= changed.size() || changed[p] == 0) continue;
+          for (const std::size_t run_id : from.runs_of_path[p]) {
+            const assign::GlobalRun& run = from.runs[run_id];
+            (run.dir == Orientation::kVertical ? dirty_columns : dirty_rows)
+                .insert(run.fixed_tile);
+          }
+        }
+      };
+      collect_panels(old_plan);
+      collect_panels(plan);
+    });
+
+    recorder.stage(core::Stage::kTrackAssign, [&] {
+      // ECO only runs solvers whose result is a pure function of the
+      // instance: a wall-clock ILP budget would break the bit-identity /
+      // replay contract, so TrackAlgorithm::kIlp runs here only in its
+      // deterministic node-budget mode (RouterConfig::ilp_node_budget > 0,
+      // no clock consulted anywhere) and degrades to the graph heuristic
+      // otherwise (DESIGN.md §12). The panel pass is deterministic at any
+      // pool size, so ECO ILP reroutes still pass the verify replay gate.
+      assign::StageConfig stage = config_.stage_config();
+      if (stage.track == assign::TrackMethod::kIlp &&
+          stage.ilp.node_budget <= 0)
+        stage.track = assign::TrackMethod::kGraph;
+      std::optional<exec::ThreadPool> inline_pool;
+      assign::assign_panels(
+          plan, design_.grid,
+          {{dirty_columns.begin(), dirty_columns.end()},
+           {dirty_rows.begin(), dirty_rows.end()}},
+          stage, pool != nullptr ? *pool : inline_pool.emplace(1));
+      result_.plan = std::move(plan);
+    });
   }
 
   // --- detail: rip and reroute exactly the affected nets -------------------
-  {
+  recorder.stage(core::Stage::kDetail, [&] {
     TELEMETRY_SPAN("serve.eco.detail");
     detailed_->reroute_nets(nets, pool, &stop, {}, pin_moves);
-  }
+  });
 
   // --- refresh metrics and the run record ----------------------------------
-  result_.metrics = eval::compute_metrics(*result_.grid, design_.netlist,
-                                          subnets_, result_.detail);
-  out.cancelled = stop.stop_requested();
-  result_.cancelled = out.cancelled;
-  if (out.cancelled) {
-    out.stop_reason = stop.reason() == exec::StopReason::kNone
-                          ? exec::StopReason::kUser
-                          : stop.reason();
-    result_.stop_reason = out.stop_reason;
-    // A cancelled ECO leaves ripped-but-unrouted paths behind; the
-    // resident must be re-routed from scratch before the next ECO.
-    routed_ = false;
-  } else {
-    result_.stop_reason = exec::StopReason::kNone;
-  }
-  result_.stats_ =
-      telemetry::delta(stats_before, telemetry::snapshot_counters());
+  recorder.stage(core::Stage::kMetrics, [&] {
+    result_.metrics = eval::compute_metrics(*result_.grid, design_.netlist,
+                                            subnets_, result_.detail);
+  });
+  recorder.finish(stop.stop_requested());
+  out.cancelled = result_.cancelled;
+  out.stop_reason = result_.stop_reason;
+  // A cancelled ECO leaves ripped-but-unrouted paths behind; the resident
+  // must be re-routed from scratch before the next ECO.
+  if (out.cancelled) routed_ = false;
   out.seconds = timer.seconds();
   out.report = report::build_run_report(result_, design_.grid,
                                         design_.netlist);

@@ -34,6 +34,11 @@
 
 namespace mebl::serve {
 
+/// When an ECO's global dirty closure exceeds this fraction of all subnets,
+/// incremental rerouting stops paying for itself; the ECO falls back to a
+/// full-batch reroute of the whole design.
+inline constexpr double kEcoFullFallbackFraction = 0.5;
+
 /// One incremental-reroute request against a resident design.
 struct EcoRequest {
   /// Nets to reroute, by id and/or by name (resolved against the resident
@@ -49,10 +54,6 @@ struct EcoRequest {
   /// from the serialized pre-ECO state and compare canonical quality
   /// blocks byte for byte.
   bool verify = false;
-  /// When the global dirty closure exceeds this fraction of all subnets,
-  /// incremental rerouting stops paying for itself; fall back to a
-  /// full-batch reroute of the whole design.
-  double full_fallback_fraction = 0.5;
 };
 
 /// What one ECO (or full route) produced.
@@ -62,7 +63,7 @@ struct EcoOutcome {
   report::RunReport report;
   /// The global dirty closure size (0 for full routes / full fallback).
   std::size_t dirty_subnets = 0;
-  /// The ECO exceeded full_fallback_fraction and re-routed everything.
+  /// The ECO exceeded kEcoFullFallbackFraction and re-routed everything.
   bool fallback_full = false;
   /// verify was requested, ran, and the canonical quality blocks matched.
   bool verified = false;

@@ -572,6 +572,7 @@ void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
   // Fan the batch outcome back out: every member gets its own terminal
   // line (echoing its id) with the shared report and an eco.coalesced
   // count naming the batch size it rode in.
+  Response leader_response;
   for (Job* member : live) {
     const Request& request = member->request;
     Response response;
@@ -606,13 +607,15 @@ void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
     jobs_completed_.fetch_add(1, std::memory_order_acq_rel);
     stats.jobs.fetch_add(1, std::memory_order_relaxed);
     send_response(member->client, response);
+    if (member == &leader) leader_response = std::move(response);
   }
   if (config_.slow_job_seconds > 0.0 &&
       run_seconds >= config_.slow_job_seconds) {
     telemetry::counter(keys::kServeSlowJobs).add(1);
-    Response summary;
-    summary.type = "done";
-    log_slow_job(leader, summary, 0.0, run_seconds);
+    const std::uint64_t leader_wait_ns =
+        start_ns > leader.enqueue_ns ? start_ns - leader.enqueue_ns : 0;
+    log_slow_job(leader, leader_response,
+                 static_cast<double>(leader_wait_ns) / 1e9, run_seconds);
   }
   stats.busy.store(false, std::memory_order_relaxed);
 }

@@ -42,8 +42,6 @@ struct AssignFingerprint {
 AssignFingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
                                 const core::RouterConfig& config) {
   core::StitchAwareRouter router(circuit.grid, circuit.netlist, config);
-  report::RunReportBuilder builder;
-  router.add_observer(&builder);
   const auto result = router.run();
 
   AssignFingerprint fp;
@@ -57,7 +55,8 @@ AssignFingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
   report::WriteOptions options;
   options.include_timing = false;
   fp.canonical_report = report::serialize(
-      builder.build(result, circuit.grid, circuit.netlist), options);
+      report::build_run_report(result, circuit.grid, circuit.netlist),
+      options);
   fp.ilp_nodes = result.stats().value(telemetry::keys::kTrackIlpNodes);
   fp.ilp_budget_hits =
       result.stats().value(telemetry::keys::kTrackIlpBudgetHits);

@@ -136,8 +136,6 @@ struct Fingerprint {
 Fingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
                           const core::RouterConfig& config) {
   core::StitchAwareRouter router(circuit.grid, circuit.netlist, config);
-  report::RunReportBuilder builder;
-  router.add_observer(&builder);
   const auto result = router.run();
   report::WriteOptions options;
   options.include_timing = false;
@@ -145,7 +143,8 @@ Fingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
   fp.metrics = result.metrics;
   fp.detail = result.detail;
   fp.canonical_report = report::serialize(
-      builder.build(result, circuit.grid, circuit.netlist), options);
+      report::build_run_report(result, circuit.grid, circuit.netlist),
+      options);
   return fp;
 }
 

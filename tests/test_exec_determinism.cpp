@@ -90,13 +90,12 @@ TEST(PipelineDeterminism, CanonicalReportBytesIdenticalAcrossThreadCounts) {
     core::StitchAwareRouter router(
         circuit.grid, circuit.netlist,
         core::RouterConfig::stitch_aware().with_threads(threads));
-    report::RunReportBuilder builder;
-    router.add_observer(&builder);
     const auto result = router.run();
     report::WriteOptions options;
     options.include_timing = false;
     return report::serialize(
-        builder.build(result, circuit.grid, circuit.netlist), options);
+        report::build_run_report(result, circuit.grid, circuit.netlist),
+        options);
   };
 
   const std::string one = canonical_report(1);

@@ -86,7 +86,6 @@ TEST(ReportJson, FormatDoubleRoundTrips) {
 struct RoutedRun {
   bench_suite::GeneratedCircuit circuit;
   core::RoutingResult result;
-  report::RunReportBuilder builder;
 
   explicit RoutedRun(bench_suite::GeneratedCircuit c)
       : circuit(std::move(c)) {}
@@ -101,7 +100,6 @@ const RoutedRun& routed_run() {
     core::StitchAwareRouter router(
         r->circuit.grid, r->circuit.netlist,
         core::RouterConfig::stitch_aware().with_threads(0));
-    router.add_observer(&r->builder);
     r->result = router.run();
     return r;
   }();
@@ -110,9 +108,9 @@ const RoutedRun& routed_run() {
 
 // ------------------------------------------------------------ run report
 
-TEST(RunReport, BuilderRecordsEveryStage) {
+TEST(RunReport, RecordsEveryStage) {
   const auto& run = routed_run();
-  const auto& stages = run.builder.stages();
+  const auto& stages = run.result.stages;
   ASSERT_EQ(stages.size(), 5u);
   EXPECT_EQ(stages[0].name, "global");
   EXPECT_EQ(stages[1].name, "layer_assign");
@@ -125,7 +123,7 @@ TEST(RunReport, QualityCountersLandInsideTheirStage) {
   // Regression test: eval.* counters used to be added after the metrics
   // stage boundary, so per-stage observers never saw them.
   const auto& run = routed_run();
-  const auto& metrics_stage = run.builder.stages().back();
+  const auto& metrics_stage = run.result.stages.back();
   EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kShortPolygons),
             run.result.metrics.short_polygons);
   EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kWirelength),
@@ -133,15 +131,15 @@ TEST(RunReport, QualityCountersLandInsideTheirStage) {
   EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kTotalNets),
             run.result.metrics.total_nets);
   // And the global stage carries its own quality counters.
-  const auto& global_stage = run.builder.stages().front();
+  const auto& global_stage = run.result.stages.front();
   EXPECT_EQ(global_stage.counters.value(telemetry::keys::kGlobalWirelength),
             run.result.global.wirelength);
 }
 
 TEST(RunReport, SerializationRoundTripsByteIdentical) {
   const auto& run = routed_run();
-  const report::RunReport report =
-      run.builder.build(run.result, run.circuit.grid, run.circuit.netlist);
+  const report::RunReport report = report::build_run_report(
+      run.result, run.circuit.grid, run.circuit.netlist);
 
   for (const bool timing : {true, false}) {
     report::WriteOptions options;
@@ -156,8 +154,8 @@ TEST(RunReport, SerializationRoundTripsByteIdentical) {
 
 TEST(RunReport, CanonicalFormOmitsWallClockData) {
   const auto& run = routed_run();
-  const report::RunReport report =
-      run.builder.build(run.result, run.circuit.grid, run.circuit.netlist);
+  const report::RunReport report = report::build_run_report(
+      run.result, run.circuit.grid, run.circuit.netlist);
   report::WriteOptions canonical;
   canonical.include_timing = false;
   const std::string text = report::serialize(report, canonical);
@@ -187,8 +185,8 @@ TEST(RunReport, ParseRejectsWrongSchemaOrVersion) {
 
 TEST(RunReport, CapturesDesignAndMetrics) {
   const auto& run = routed_run();
-  const report::RunReport report =
-      run.builder.build(run.result, run.circuit.grid, run.circuit.netlist);
+  const report::RunReport report = report::build_run_report(
+      run.result, run.circuit.grid, run.circuit.netlist);
   EXPECT_EQ(report.design.width, run.circuit.grid.width());
   EXPECT_EQ(report.design.tiles_x, run.circuit.grid.tiles_x());
   EXPECT_EQ(report.design.nets,
@@ -422,8 +420,8 @@ TEST(Diff, MissingBenchRowIsARegression) {
 
 TEST(Diff, RunReportsGateOnQualityBlock) {
   const auto& run = routed_run();
-  const report::RunReport report =
-      run.builder.build(run.result, run.circuit.grid, run.circuit.netlist);
+  const report::RunReport report = report::build_run_report(
+      run.result, run.circuit.grid, run.circuit.netlist);
   const Json base = report::to_json(report);
   EXPECT_EQ(report::diff_reports(base, base).exit_code(), report::kDiffOk);
 
@@ -464,16 +462,13 @@ TEST(ObserverFanout, MultipleObserversSeeEveryStage) {
       circuit.grid, circuit.netlist,
       core::RouterConfig::stitch_aware().with_threads(2));
   CountingObserver first, second;
-  report::RunReportBuilder builder;
-  router.add_observer(&first)
-      .add_observer(&second)
-      .add_observer(&builder);
+  router.add_observer(&first).add_observer(&second);
   const auto result = router.run();
   EXPECT_EQ(first.begins, 5);
   EXPECT_EQ(first.ends, 5);
   EXPECT_EQ(second.begins, 5);
   EXPECT_EQ(second.ends, 5);
-  EXPECT_EQ(builder.stages().size(), 5u);
+  EXPECT_EQ(result.stages.size(), 5u);
   EXPECT_FALSE(result.cancelled);
 }
 

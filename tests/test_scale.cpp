@@ -427,13 +427,12 @@ TEST(ScaleDeterminism, CanonicalReportBytesIdenticalAcrossThreads) {
                                    core::RouterConfig::stitch_aware()
                                        .with_threads(threads)
                                        .with_multilevel(multilevel));
-    report::RunReportBuilder builder;
-    router.add_observer(&builder);
     const auto result = router.run();
     report::WriteOptions options;
     options.include_timing = false;
     return report::serialize(
-        builder.build(result, circuit.grid, circuit.netlist), options);
+        report::build_run_report(result, circuit.grid, circuit.netlist),
+        options);
   };
 
   // Multilevel refinement may legitimately pick different (corridor-guided)
@@ -594,6 +593,7 @@ TEST(ScaleServe, EcoVerifyReplayPassesOnTiledMultilevelGrid) {
 #define MEBL_SCALE_SANITIZED 1
 #endif
 
+#if defined(__linux__) && !defined(MEBL_SCALE_SANITIZED)
 /// Current resident set of this process in KiB (VmRSS), -1 when unknown.
 long vm_rss_kb() {
   std::ifstream status("/proc/self/status");
@@ -601,6 +601,7 @@ long vm_rss_kb() {
     if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
   return -1;
 }
+#endif
 
 /// The detail occupancy at paper scale is demand-paged: building the grid
 /// graph and claiming every pin of S5378@full_scale (6060 x 3330 tracks x 4

@@ -31,6 +31,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/keys.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/log.hpp"
 
 namespace mebl::serve {
 namespace {
@@ -399,6 +400,39 @@ TEST(ServeEco, EcoIsBitIdenticalToReplayOnS5378) {
   // The headline acceptance gate: incremental work well under a quarter of
   // the full route.
   EXPECT_LT(outcome.seconds, 0.25 * full.seconds);
+}
+
+TEST(ServeEco, EcoReportRecordsItsOwnFiveStages) {
+  ResidentDesign resident(s5378_design());
+  ASSERT_TRUE(resident.route_full().ok);
+
+  EcoRequest request;
+  request.nets = routable_nets(resident.design().netlist, 1);
+  ASSERT_EQ(request.nets.size(), 1u);
+  const EcoOutcome outcome = resident.eco(request);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_FALSE(outcome.fallback_full);
+
+  // The same five stages as a full route, timed inside the ECO itself.
+  const auto& stages = outcome.report.stages;
+  ASSERT_EQ(stages.size(), 5u);
+  double staged = 0.0;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(stages[i].name, core::stage_name(static_cast<core::Stage>(i)));
+    staged += stages[i].seconds;
+  }
+  EXPECT_LE(staged, outcome.seconds);
+
+  // The detail stage's record carries the ECO's own detailed reroute: its
+  // detail.subnets.* deltas are the whole ECO's.
+  const telemetry::StatsSnapshot& detail = stages[3].counters;
+  std::int64_t subnets = 0;
+  for (const auto& [name, value] : outcome.report.counters.counters) {
+    if (!name.starts_with("detail.subnets.")) continue;
+    EXPECT_EQ(detail.value(name), value) << name;
+    subnets += value;
+  }
+  EXPECT_GT(subnets, 0);
 }
 
 TEST(ServeEco, PinMoveReroutesAndStaysConsistent) {
@@ -1085,6 +1119,51 @@ TEST(ServeServer, EcoSpansAllCarryTheRequestId) {
 
   telemetry::Tracer::clear();
   server.stop();
+}
+
+TEST(ServeServer, SlowEcoWarnCarriesTheEcoStageBreakdown) {
+  struct LogCapture {
+    std::ostringstream text;
+    util::LogLevel saved = util::Log::level();
+    LogCapture() {
+      util::Log::set_level(util::LogLevel::kWarn);
+      util::Log::set_sink(&text);
+    }
+    ~LogCapture() {
+      util::Log::set_sink(nullptr);
+      util::Log::set_level(saved);
+    }
+  } capture;  // outlives the server, which logs until stop()
+
+  ServerConfig config;
+  config.socket_path = test_socket_path() + ".w";
+  config.slow_job_seconds = 1e-9;  // every job is slow
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  Client client;
+  ASSERT_TRUE(client.connect(config.socket_path));
+  const netlist::Design design = small_design(11);
+  load_and_route(client, "unit", design);
+  Request eco = make_request(Op::kEco, 0);
+  eco.design = "unit";
+  eco.nets = routable_nets(design.netlist, 1);
+  const auto response = client.call(std::move(eco));
+  ASSERT_TRUE(response && response->type == "done") << response->error;
+  // stop() joins the lanes, so the WARN written after the response is in.
+  server.stop();
+  util::Log::set_sink(nullptr);
+
+  const std::string text = capture.text.str();
+  const std::size_t at = text.find("slow_job op=eco");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  EXPECT_NE(line.find(" stages=[global="), std::string::npos) << line;
+  for (const core::Stage stage :
+       {core::Stage::kLayerAssign, core::Stage::kTrackAssign,
+        core::Stage::kDetail, core::Stage::kMetrics})
+    EXPECT_NE(line.find(std::string(",") + core::stage_name(stage) + "="),
+              std::string::npos)
+        << line;
 }
 
 TEST(ServeServer, DumpRequestWritesFlightRecorderFile) {
