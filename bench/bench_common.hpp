@@ -118,6 +118,19 @@ inline bench_suite::GeneratedCircuit generate(
   return bench_suite::generate_circuit(spec, config_for(spec), kSeed);
 }
 
+/// The first `count` nets with at least two pins (single-pin nets carry no
+/// subnets, so an ECO on them would measure nothing).
+inline std::vector<netlist::NetId> routable_nets(
+    const netlist::Netlist& netlist, std::size_t count) {
+  std::vector<netlist::NetId> nets;
+  for (const netlist::Net& net : netlist.nets()) {
+    if (net.degree() < 2) continue;
+    nets.push_back(net.id);
+    if (nets.size() == count) break;
+  }
+  return nets;
+}
+
 /// Keep table output clean: only warnings and errors on stderr.
 struct QuietLogs {
   QuietLogs() { util::Log::set_level(util::LogLevel::kWarn); }

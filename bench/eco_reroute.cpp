@@ -23,19 +23,6 @@
 
 namespace {
 
-/// The first `count` nets with at least two pins (single-pin nets carry no
-/// subnets, so an ECO on them would measure nothing).
-std::vector<mebl::netlist::NetId> routable_nets(
-    const mebl::netlist::Netlist& netlist, std::size_t count) {
-  std::vector<mebl::netlist::NetId> nets;
-  for (const mebl::netlist::Net& net : netlist.nets()) {
-    if (net.degree() < 2) continue;
-    nets.push_back(net.id);
-    if (nets.size() == count) break;
-  }
-  return nets;
-}
-
 struct EcoSample {
   std::size_t batch = 0;
   std::size_t dirty = 0;
@@ -65,7 +52,8 @@ EcoSample BM_EcoReroute(const mebl::bench_suite::BenchmarkSpec& spec,
   if (full_seconds_out != nullptr) *full_seconds_out = full_seconds;
 
   serve::EcoRequest request;
-  request.nets = routable_nets(resident.design().netlist, batch);
+  request.nets =
+      bench_common::routable_nets(resident.design().netlist, batch);
   const serve::EcoOutcome outcome = resident.eco(request);
   if (!outcome.ok) {
     std::cerr << "[eco_reroute] eco failed: " << outcome.error << "\n";
@@ -96,7 +84,7 @@ SteadySample BM_EcoSteady(const mebl::bench_suite::BenchmarkSpec& spec,
     std::cerr << "[eco_reroute] steady full route failed\n";
     std::exit(1);
   }
-  const auto candidates = routable_nets(
+  const auto candidates = bench_common::routable_nets(
       resident.design().netlist, resident.design().netlist.num_nets());
   util::Rng rng(20130602u);
   SteadySample sample;

@@ -6,7 +6,10 @@
 // multilevel against the flat schedule on the same instance. A third row,
 // `pipeline`, routes S5378@full_scale end to end (global, layer, track,
 // detail) and holds it to a fixed peak-RSS budget: the harness exits 1 when
-// the process peak exceeds kPipelineRssBudgetKb.
+// the process peak exceeds kPipelineRssBudgetKb. A last row, `eco`, times
+// 1-net and 10-net ECOs on a multilevel resident of that instance (wall
+// time of ResidentDesign::eco, report included) and exits 1 when the 1-net
+// median passes kEcoOneNetBudgetSeconds; its final quality is gated exactly.
 //
 //   full_scale [--threads N] [--json FILE] [--trace FILE] [--stats FILE]
 //
@@ -14,14 +17,17 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/stitch_router.hpp"
 #include "exec/thread_pool.hpp"
 #include "global/global_router.hpp"
 #include "netlist/decompose.hpp"
+#include "serve/resident_design.hpp"
 #include "telemetry/keys.hpp"
 
 namespace {
@@ -30,6 +36,13 @@ namespace {
 /// pipeline row (the last and largest one): 512 MiB.
 constexpr long kPipelineRssBudgetKb = 512L * 1024;
 
+/// Budget of the eco row's 1-net median: wall time of ResidentDesign::eco,
+/// run report included.
+constexpr double kEcoOneNetBudgetSeconds = 0.5;
+
+/// ECOs per batch size in the eco row; the row reports their medians.
+constexpr std::size_t kEcoReps = 7;
+
 /// Max resident set of this process so far, in kilobytes (getrusage;
 /// /usr/bin/time -v reports the same number — bench/peak_mem.sh merges the
 /// external measurement when available). -1 when unavailable.
@@ -37,6 +50,45 @@ long peak_rss_kb() {
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return -1;
   return usage.ru_maxrss;
+}
+
+/// Medians of one eco-row series.
+struct EcoSeries {
+  double wall_s = 0.0;  ///< ResidentDesign::eco wall time, report included
+  double eco_s = 0.0;   ///< EcoOutcome::seconds (the report left out)
+  std::int64_t dirty_subnets = 0;  ///< summed over the series
+  bool ok = true;  ///< every ECO succeeded without a full-route fallback
+};
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// kEcoReps ECOs of `batch` nets each on `resident`, taking fresh nets in
+/// order from `nets` starting at `next`.
+EcoSeries run_eco_series(mebl::serve::ResidentDesign& resident,
+                         const std::vector<mebl::netlist::NetId>& nets,
+                         std::size_t batch, std::size_t& next) {
+  EcoSeries series;
+  std::vector<double> wall;
+  std::vector<double> eco;
+  for (std::size_t rep = 0; rep < kEcoReps; ++rep) {
+    mebl::serve::EcoRequest request;
+    request.nets.assign(nets.begin() + static_cast<std::ptrdiff_t>(next),
+                        nets.begin() +
+                            static_cast<std::ptrdiff_t>(next + batch));
+    next += batch;
+    mebl::util::Timer timer;
+    const mebl::serve::EcoOutcome outcome = resident.eco(request);
+    wall.push_back(timer.seconds());
+    eco.push_back(outcome.seconds);
+    series.dirty_subnets += static_cast<std::int64_t>(outcome.dirty_subnets);
+    series.ok = series.ok && outcome.ok && !outcome.fallback_full;
+  }
+  series.wall_s = median(std::move(wall));
+  series.eco_s = median(std::move(eco));
+  return series;
 }
 
 }  // namespace
@@ -67,7 +119,7 @@ int main(int argc, char** argv) {
 
     global::GlobalRouterConfig ml_config;
     ml_config.net_batch_size = 32;  // the pipeline's parallel batching default
-    ml_config.multilevel.enabled = true;
+    ml_config.multilevel = true;
 
     util::Timer timer;
     global::GlobalRouter ml_router(circuit.grid, ml_config);
@@ -107,7 +159,7 @@ int main(int argc, char** argv) {
     // Flat comparison: same instance, multilevel off — so the delta
     // isolates the coarsen–route–refine schedule.
     global::GlobalRouterConfig flat_config = ml_config;
-    flat_config.multilevel.enabled = false;
+    flat_config.multilevel = false;
     timer.reset();
     global::GlobalRouter flat_router(circuit.grid, flat_config);
     const auto flat_result = flat_router.route(subnets, &pool);
@@ -156,59 +208,125 @@ int main(int argc, char** argv) {
   const auto* pipeline_spec = bench_suite::find_spec("S5378");
   const auto pipeline_circuit = bench_suite::generate_circuit(
       *pipeline_spec, generator_config, bench_common::kSeed);
-  util::Timer timer;
-  core::StitchAwareRouter pipeline_router(
-      pipeline_circuit.grid, pipeline_circuit.netlist,
+  const auto pipeline_config =
       core::RouterConfig::stitch_aware()
           .with_threads(bench_common::threads_from_args(argc, argv))
-          .with_multilevel(true));
-  const auto pipeline = pipeline_router.run();
-  const double pipeline_seconds = timer.seconds();
-  const long pipeline_rss_kb = peak_rss_kb();
-  const auto stage_seconds = [&](core::Stage stage) {
-    return pipeline.stages.at(static_cast<std::size_t>(stage)).seconds;
-  };
+          .with_multilevel(true);
+  // The routed pipeline is freed before the eco row, so the process peak
+  // counts one routed instance at a time.
+  long pipeline_rss_kb = -1;
   {
-    report::Json::Object metrics =
-        report::QualitySummary::from(pipeline, pipeline_seconds).to_metrics();
-    metrics["global_s"] = stage_seconds(core::Stage::kGlobal);
-    metrics["layer_s"] = stage_seconds(core::Stage::kLayerAssign);
-    metrics["track_s"] = stage_seconds(core::Stage::kTrackAssign);
-    metrics["detail_s"] = stage_seconds(core::Stage::kDetail);
-    metrics["peak_rss_kb"] = static_cast<std::int64_t>(pipeline_rss_kb);
-    for (const auto& [name, value] : pipeline.stats().counters)
-      if (name.starts_with("detail.storage."))
-        metrics[name.substr(sizeof("detail.storage.") - 1)] = value;
-    report_scope.add(pipeline_spec->name + "@full_scale", "pipeline",
-                     std::move(metrics));
+    util::Timer timer;
+    core::StitchAwareRouter pipeline_router(pipeline_circuit.grid,
+                                            pipeline_circuit.netlist,
+                                            pipeline_config);
+    const auto pipeline = pipeline_router.run();
+    const double pipeline_seconds = timer.seconds();
+    pipeline_rss_kb = peak_rss_kb();
+    const auto stage_seconds = [&](core::Stage stage) {
+      return pipeline.stages.at(static_cast<std::size_t>(stage)).seconds;
+    };
+    {
+      report::Json::Object metrics =
+          report::QualitySummary::from(pipeline, pipeline_seconds).to_metrics();
+      metrics["global_s"] = stage_seconds(core::Stage::kGlobal);
+      metrics["layer_s"] = stage_seconds(core::Stage::kLayerAssign);
+      metrics["track_s"] = stage_seconds(core::Stage::kTrackAssign);
+      metrics["detail_s"] = stage_seconds(core::Stage::kDetail);
+      metrics["peak_rss_kb"] = static_cast<std::int64_t>(pipeline_rss_kb);
+      for (const auto& [name, value] : pipeline.stats().counters)
+        if (name.starts_with("detail.storage."))
+          metrics[name.substr(sizeof("detail.storage.") - 1)] = value;
+      report_scope.add(pipeline_spec->name + "@full_scale", "pipeline",
+                       std::move(metrics));
+    }
+
+    const auto wall = [&](core::Stage stage) {
+      return util::Table::fixed(stage_seconds(stage), 2);
+    };
+    util::Table pipeline_table("Circuit", "Tracks", "Rout.(%)", "WL", "#VIA",
+                               "#VV", "#SP", "G/L/T/D (s)", "RSS(MB)");
+    pipeline_table.add_row(
+        pipeline_spec->name + "@full_scale",
+        std::to_string(pipeline_circuit.grid.width()) + "x" +
+            std::to_string(pipeline_circuit.grid.height()),
+        util::Table::fixed(pipeline.metrics.routability_pct(), 2),
+        std::to_string(pipeline.metrics.wirelength),
+        std::to_string(pipeline.metrics.vias),
+        std::to_string(pipeline.metrics.via_violations),
+        std::to_string(pipeline.metrics.short_polygons),
+        wall(core::Stage::kGlobal) + "/" + wall(core::Stage::kLayerAssign) +
+            "/" + wall(core::Stage::kTrackAssign) + "/" +
+            wall(core::Stage::kDetail),
+        std::to_string(pipeline_rss_kb >= 0 ? pipeline_rss_kb / 1024 : -1));
+    std::cout << "\n"
+              << pipeline_table.str("Full-scale pipeline (all four stages)");
   }
 
-  const auto wall = [&](core::Stage stage) {
-    return util::Table::fixed(stage_seconds(stage), 2);
-  };
-  util::Table pipeline_table("Circuit", "Tracks", "Rout.(%)", "WL", "#VIA",
-                             "#VV", "#SP", "G/L/T/D (s)", "RSS(MB)");
-  pipeline_table.add_row(
-      pipeline_spec->name + "@full_scale",
-      std::to_string(pipeline_circuit.grid.width()) + "x" +
-          std::to_string(pipeline_circuit.grid.height()),
-      util::Table::fixed(pipeline.metrics.routability_pct(), 2),
-      std::to_string(pipeline.metrics.wirelength),
-      std::to_string(pipeline.metrics.vias),
-      std::to_string(pipeline.metrics.via_violations),
-      std::to_string(pipeline.metrics.short_polygons),
-      wall(core::Stage::kGlobal) + "/" + wall(core::Stage::kLayerAssign) +
-          "/" + wall(core::Stage::kTrackAssign) + "/" +
-          wall(core::Stage::kDetail),
-      std::to_string(pipeline_rss_kb >= 0 ? pipeline_rss_kb / 1024 : -1));
+  // ECO row: a multilevel resident of the same instance takes kEcoReps
+  // 1-net ECOs, then kEcoReps 10-net ECOs, each on fresh nets. It runs
+  // after the pipeline row's RSS sample, so that row's peak does not count
+  // the resident.
+  serve::ResidentDesign resident(
+      netlist::Design{pipeline_circuit.grid, pipeline_circuit.netlist},
+      pipeline_config);
+  if (!resident.route_full().ok) {
+    std::cerr << "full_scale: eco resident failed its full route\n";
+    return 1;
+  }
+  const auto eco_nets = bench_common::routable_nets(
+      resident.design().netlist, kEcoReps * (1 + 10));
+  if (eco_nets.size() < kEcoReps * (1 + 10)) {
+    std::cerr << "full_scale: too few routable nets for the eco row\n";
+    return 1;
+  }
+  std::size_t next_net = 0;
+  const EcoSeries eco1 = run_eco_series(resident, eco_nets, 1, next_net);
+  const EcoSeries eco10 = run_eco_series(resident, eco_nets, 10, next_net);
+  if (!eco1.ok || !eco10.ok) {
+    std::cerr << "full_scale: an eco-row ECO failed or fell back\n";
+    return 1;
+  }
+  const eval::RouteMetrics& eco_final = resident.result().metrics;
+  {
+    report::Json::Object metrics;
+    metrics["eco1_wall_s"] = eco1.wall_s;
+    metrics["eco1_incremental_s"] = eco1.eco_s;
+    metrics["eco10_wall_s"] = eco10.wall_s;
+    metrics["eco10_incremental_s"] = eco10.eco_s;
+    metrics["eco1_dirty_subnets"] = eco1.dirty_subnets;
+    metrics["eco10_dirty_subnets"] = eco10.dirty_subnets;
+    metrics["final_short_polygons"] = std::int64_t{eco_final.short_polygons};
+    metrics["final_via_violations"] = std::int64_t{eco_final.via_violations};
+    metrics["final_vias"] = std::int64_t{eco_final.vias};
+    metrics["final_wirelength"] = eco_final.wirelength;
+    report_scope.add(pipeline_spec->name + "@full_scale", "eco",
+                     std::move(metrics));
+  }
+  util::Table eco_table("Circuit", "ECO nets", "Wall (s)", "Incremental (s)",
+                        "Dirty subnets");
+  for (const auto& [nets, series] :
+       {std::pair{1, eco1}, std::pair{10, eco10}})
+    eco_table.add_row(pipeline_spec->name + "@full_scale",
+                      std::to_string(nets), util::Table::fixed(series.wall_s, 3),
+                      util::Table::fixed(series.eco_s, 3),
+                      std::to_string(series.dirty_subnets));
   std::cout << "\n"
-            << pipeline_table.str("Full-scale pipeline (all four stages)");
+            << eco_table.str("Full-scale ECO (median of " +
+                             std::to_string(kEcoReps) + ", report included)");
 
+  int status = 0;
   if (pipeline_rss_kb > kPipelineRssBudgetKb) {
     std::cerr << "full_scale: FAIL peak RSS " << pipeline_rss_kb / 1024
               << " MiB exceeds the " << kPipelineRssBudgetKb / 1024
               << " MiB pipeline budget\n";
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (eco1.wall_s > kEcoOneNetBudgetSeconds) {
+    std::cerr << "full_scale: FAIL 1-net ECO median " << eco1.wall_s
+              << " s exceeds the " << kEcoOneNetBudgetSeconds
+              << " s budget\n";
+    status = 1;
+  }
+  return status;
 }

@@ -164,8 +164,10 @@ GlobalKernelStats run_global_search_workload() {
   }
   // Both table-IV cost configurations, alternated per search the way the
   // ablation bench runs them: with line-end (vertex) pricing and without.
-  const global::GlobalSearchParams with_vertex{0.5, true, 8.0};
-  const global::GlobalSearchParams without_vertex{0.5, false, 8.0};
+  const global::GlobalSearchParams with_vertex{global::kTurnCost, true,
+                                               global::kVertexCostWeight};
+  const global::GlobalSearchParams without_vertex{
+      global::kTurnCost, false, global::kVertexCostWeight};
   const geom::Rect full{0, 0, kTiles - 1, kTiles - 1};
   global::GlobalSearchScratch scratch;
   GlobalKernelStats stats;

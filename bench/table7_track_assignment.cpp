@@ -26,7 +26,7 @@ Row run(const mebl::bench_suite::GeneratedCircuit& circuit,
                     .with_track_algorithm(algorithm)
                     .with_ilp_budget(30.0)
                     .with_threads(threads);
-  config.ilp.time_limit_seconds = 5.0;
+  config.ilp_panel_seconds = 5.0;
   util::Timer timer;
   core::StitchAwareRouter router(circuit.grid, circuit.netlist, config);
   const auto result = router.run();

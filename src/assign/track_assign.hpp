@@ -93,14 +93,6 @@ struct TrackAssignResult {
 struct IlpTrackOptions {
   double time_limit_seconds = 10.0;
   std::int64_t max_nodes = 2'000'000;
-  /// Maximum dogleg jump between adjacent tile rows, in tracks. Bounds the
-  /// track-edge count (the paper's model is O(T^2) per row gap; real panels
-  /// never need jumps wider than a few tracks).
-  int max_dogleg = 3;
-  /// Weight of a source/target edge that creates a bad end. The paper
-  /// removes such edges; a large finite penalty keeps the model feasible in
-  /// over-dense panels while still minimizing bad ends first.
-  double bad_end_penalty = 1000.0;
   /// Absolute deadline shared by every panel of one circuit (the router's
   /// ilp_budget_seconds converted at stage start). The solver aborts
   /// mid-search once it passes; unset = only the per-panel limits apply.

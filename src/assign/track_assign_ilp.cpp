@@ -14,6 +14,15 @@ namespace {
 using geom::Coord;
 using geom::Interval;
 
+/// Maximum dogleg jump between adjacent tile rows, in tracks. Bounds the
+/// track-edge count (the paper's model is O(T^2) per row gap; real panels
+/// never need jumps wider than a few tracks).
+constexpr int kMaxDogleg = 3;
+/// Weight of a source/target edge that creates a bad end. The paper removes
+/// such edges; a large finite penalty keeps the model feasible in
+/// over-dense panels while still minimizing bad ends first.
+constexpr double kBadEndPenalty = 1000.0;
+
 /// Builder for the multicommodity-flow ILP of paper SIII-C1 (Fig. 10,
 /// eqs. 5-9) over one (panel, layer) instance.
 class IlpBuilder {
@@ -70,13 +79,13 @@ class IlpBuilder {
   /// Penalty on a source/target edge whose track makes that end bad.
   [[nodiscard]] double end_weight(std::size_t t, int continuation) const {
     return is_bad_end(xs_[t], continuation, *instance_.stitch)
-               ? options_.bad_end_penalty
+               ? kBadEndPenalty
                : 0.0;
   }
 
   /// Map the graph heuristic's assignment onto the model as the initial
   /// incumbent plus branching hint. Embedding can fail — a ripped segment, a
-  /// dogleg wider than max_dogleg, or (defensively) a constraint violation —
+  /// dogleg wider than kMaxDogleg, or (defensively) a constraint violation —
   /// in which case `out` is left cold and the solve starts from +inf.
   void seed_warm_start(ilp::SolveOptions& out) const {
     const TrackAssignResult heur = track_assign_graph(instance_);
@@ -155,7 +164,7 @@ class IlpBuilder {
         for (std::size_t t = 0; t < T; ++t) {
           for (std::size_t j = 0; j < T; ++j) {
             const Coord jump = std::abs(xs_[t] - xs_[j]);
-            if (jump > options_.max_dogleg) continue;
+            if (jump > kMaxDogleg) continue;
             edge_[k][g][t].push_back(
                 {j, model_.add_binary(static_cast<double>(jump))});
           }
@@ -261,11 +270,11 @@ class IlpBuilder {
       if (active.size() < 2) continue;
       for (std::size_t t1 = 0; t1 < T; ++t1) {
         for (std::size_t t2 = t1 + 1; t2 < T; ++t2) {
-          if (xs_[t2] - xs_[t1] > 2 * options_.max_dogleg) break;
+          if (xs_[t2] - xs_[t1] > 2 * kMaxDogleg) break;
           for (std::size_t j2 = 0; j2 < T; ++j2) {
-            if (std::abs(xs_[t2] - xs_[j2]) > options_.max_dogleg) continue;
+            if (std::abs(xs_[t2] - xs_[j2]) > kMaxDogleg) continue;
             for (std::size_t j1 = j2 + 1; j1 < T; ++j1) {
-              if (std::abs(xs_[t1] - xs_[j1]) > options_.max_dogleg) continue;
+              if (std::abs(xs_[t1] - xs_[j1]) > kMaxDogleg) continue;
               // Edge pair (t1->j1, t2->j2) with t1 < t2, j1 > j2: crossing.
               std::vector<ilp::Term> terms;
               for (const std::size_t k : active) {

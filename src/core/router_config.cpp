@@ -6,7 +6,7 @@ assign::StageConfig RouterConfig::stage_config() const {
   assign::StageConfig stage;
   stage.layer = layer_algorithm;
   stage.track = track_algorithm;
-  stage.ilp = ilp;
+  stage.ilp.time_limit_seconds = ilp_panel_seconds;
   stage.ilp.node_budget = ilp_node_budget;
   // Every panel's ILP starts from the graph heuristic's assignment (initial
   // incumbent + branch hint): pruning starts at the heuristic cost instead
@@ -18,9 +18,6 @@ assign::StageConfig RouterConfig::stage_config() const {
 
 RouterConfig RouterConfig::stitch_aware() {
   RouterConfig config;  // defaults are the stitch-aware settings
-  config.detail.astar.alpha = 1.0;
-  config.detail.astar.beta = 10.0;
-  config.detail.astar.gamma = 5.0;
   // Batch-synchronous global routing (the parallel unit of work). The batch
   // size is part of the determinism contract — fixed here, never derived
   // from the thread count.

@@ -36,10 +36,10 @@ struct RouterConfig {
   global::GlobalRouterConfig global;
   LayerAlgorithm layer_algorithm = LayerAlgorithm::kColorableSubset;
   TrackAlgorithm track_algorithm = TrackAlgorithm::kGraph;
-  /// Per-panel ILP knobs. Like `ilp.deadline`, the `warm_start`, `pool` and
-  /// `node_budget` members are overwritten by assign::assign_panels from the
-  /// router-level fields below; set those instead.
-  assign::IlpTrackOptions ilp;
+  /// Wall-clock limit of one ILP panel solve, in seconds
+  /// (assign::IlpTrackOptions::time_limit_seconds). Ignored, like every
+  /// wall-clock ILP limit, when ilp_node_budget > 0.
+  double ilp_panel_seconds = 10.0;
   /// Wall-clock budget for all ILP panels of one circuit, enforced as one
   /// absolute deadline shared by every worker: panels that start after it
   /// fall back to the graph heuristic, and the branch-and-bound aborts
@@ -96,13 +96,13 @@ struct RouterConfig {
   /// §15): long subnets route on a coarsened graph first, then refine
   /// inside the resulting corridor (full-grid fallback on failure).
   RouterConfig& with_multilevel(bool enabled) {
-    global.multilevel.enabled = enabled;
+    global.multilevel = enabled;
     return *this;
   }
 
   /// The assign::assign_panels configuration: the enum selections (aliases)
   /// pass through, and the router-level ILP fields land in the per-panel
-  /// options.
+  /// options (every other per-panel option keeps its default).
   [[nodiscard]] assign::StageConfig stage_config() const;
 
   /// The paper's stitch-aware configuration (alpha=1, beta=10, gamma=5).

@@ -14,6 +14,17 @@ using geom::Point;
 using geom::Point3;
 using geom::Rect;
 
+namespace {
+
+/// Wirelength weight (the paper's alpha).
+constexpr double kAlpha = 1.0;
+/// Wirelength equivalent of one layer hop (via).
+constexpr double kViaLength = 2.0;
+/// Cost of stepping along nodes the net already owns (wire reuse).
+constexpr double kOwnNetStep = 0.01;
+
+}  // namespace
+
 AStarRouter::AStarRouter(const GridGraph& grid, AStarConfig config)
     : grid_(&grid),
       config_(config),
@@ -131,8 +142,8 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   };
   const auto heuristic = [&](Point3 p) {
     double est =
-        config_.alpha * (manhattan(p.xy(), b) +
-                         config_.via_length * static_cast<double>(p.layer));
+        kAlpha *
+        (manhattan(p.xy(), b) + kViaLength * static_cast<double>(p.layer));
     if (config_.stitch_cost)
       est += config_.gamma * escape_between(p.x, b.x);
     return est;
@@ -158,8 +169,8 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   // Static node penalties apply only with the stitch costs on (they guard
   // short-polygon sites, a stitch-only concern).
   const bool guards = config_.stitch_cost && !guards_.empty();
-  const double via_step = config_.alpha * config_.via_length;
-  const double wire_step = config_.alpha;
+  const double via_step = kAlpha * kViaLength;
+  const double wire_step = kAlpha;
   const double beta_scaled = beta_scale_ * config_.beta;
 
   // Hot-node plateau bypass. The heuristic is consistent, so a child whose
@@ -233,7 +244,7 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
       const bool z_move = q.layer != p.layer;
       double step;
       if (owner == net) {
-        step = config_.own_net_step;  // ride existing wire
+        step = kOwnNetStep;  // ride existing wire
       } else {
         const Column& qc = columns[q.x];
         step = z_move ? via_step + beta_scaled * qc.unfriendly  // C_vsu

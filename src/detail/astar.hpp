@@ -13,18 +13,14 @@ namespace mebl::detail {
 
 /// Cost weights for the stitch-aware detailed-routing search (paper
 /// eq. (10)): C_grid(j) = C_grid(i) + alpha*C_wl + beta*C_vsu + gamma*C_esc.
-/// The paper's experiments use alpha=1, beta=10, gamma=5 with beta >> gamma.
+/// The paper's experiments use alpha=1, beta=10, gamma=5 with beta >> gamma;
+/// alpha is fixed (kAlpha in astar.cpp), the ablations vary beta and gamma.
 struct AStarConfig {
-  double alpha = 1.0;  ///< wirelength weight
   double beta = 10.0;  ///< via-in-stitch-unfriendly-region cost
   double gamma = 5.0;  ///< escape-region cost
-  /// Wirelength equivalent of one layer hop (via).
-  double via_length = 2.0;
   /// Master switch for the beta/gamma stitch terms (the Table VIII
   /// "w/o stitch consideration" ablation turns them off).
   bool stitch_cost = true;
-  /// Cost of stepping along nodes the net already owns (wire reuse).
-  double own_net_step = 0.01;
 };
 
 /// Per-search scratch state of one A* search: the epoch-stamped visited /

@@ -25,6 +25,24 @@ using geom::Rect;
 
 namespace {
 
+/// Margin in tracks added around a subnet's bbox for the first A* attempt.
+constexpr Coord kBaseMargin = 8;
+/// Each retry multiplies the margin by 4; after the last retry the subnet
+/// goes to the rip-up pass.
+constexpr int kMaxRetries = 1;
+/// Rip-up & reroute rounds for subnets that could not be routed — part of
+/// the second bottom-up pass of the framework (Fig. 6).
+constexpr int kRipupMaxRounds = 2;
+/// Maximum number of blocking nets ripped to rescue one failed subnet.
+constexpr int kRipupMaxBlockers = 4;
+/// Per-node price of crossing a foreign wire in the rip-up probe.
+constexpr double kRipupForeignPenalty = 40.0;
+/// Short-polygon cleanup iterations: nets owning short polygons are ripped
+/// and rerouted with a stricter (beta scaled by kSpCleanupBetaScale) cost.
+/// Runs only when the stitch costs are enabled.
+constexpr int kSpCleanupMaxRounds = 3;
+constexpr double kSpCleanupBetaScale = 8.0;
+
 /// A* scratch borrowed for one search from a process-wide free list: the
 /// smallest free scratch that already fits the box, else the largest free
 /// one (the search grows it). Scratch memory is thereby bounded by the boxes
@@ -465,7 +483,7 @@ DetailedRouter::Attempt DetailedRouter::compute_first_attempt(
   }
   const auto& subnet = (*subnets_)[idx];
   const Rect box = subnet.bbox()
-                       .inflated(config_.base_margin)
+                       .inflated(kBaseMargin)
                        .intersect(grid_->routing_grid().extent());
   const BorrowedScratch scratch(grid_->routing_grid(), box);
   if (astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box)) {
@@ -504,8 +522,8 @@ void DetailedRouter::commit_attempt(std::size_t idx, Attempt&& attempt) {
 bool DetailedRouter::route_subnet_escalated(std::size_t idx) {
   const auto& subnet = (*subnets_)[idx];
   const Rect extent = grid_->routing_grid().extent();
-  Coord margin = config_.base_margin;
-  for (int retry = 1; retry <= config_.max_retries; ++retry) {
+  Coord margin = kBaseMargin;
+  for (int retry = 1; retry <= kMaxRetries; ++retry) {
     margin *= 4;
     const Rect box = subnet.bbox().inflated(margin).intersect(extent);
     const BorrowedScratch scratch(grid_->routing_grid(), box);
@@ -530,7 +548,7 @@ void DetailedRouter::route_batches(const std::vector<std::size_t>& order,
   boxes.reserve(order.size());
   for (const std::size_t idx : order)
     boxes.push_back(subnet_search_box((*subnets_)[idx], *plan_, idx, rg,
-                                      config_.base_margin));
+                                      kBaseMargin));
   const auto batches = gather_disjoint_batches(
       order, boxes, std::max<Coord>(rg.tile_size(), 1),
       static_cast<std::size_t>(std::max(config_.parallel_batch_cap, 1)));
@@ -629,7 +647,7 @@ std::vector<std::size_t> DetailedRouter::rip_net(netlist::NetId net) {
 Rect DetailedRouter::probe_box(std::size_t idx) const {
   return (*subnets_)[idx]
       .bbox()
-      .inflated(config_.base_margin * 8)
+      .inflated(kBaseMargin * 8)
       .intersect(grid_->routing_grid().extent());
 }
 
@@ -645,7 +663,7 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
   // trace in the change log.
   if (incremental) grid_->begin_transaction();
   std::vector<std::size_t> probed;  // memos recorded inside the transaction
-  for (int round = 0; round < config_.ripup_rounds; ++round) {
+  for (int round = 0; round < kRipupMaxRounds; ++round) {
     std::vector<std::size_t> failed;
     for (std::size_t i = 0; i < subnets.size(); ++i)
       if (!result_->subnet_routed[i]) failed.push_back(i);
@@ -670,7 +688,7 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
       {
         const BorrowedScratch scratch(grid_->routing_grid(), box);
         if (!astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box,
-                           config_.ripup_foreign_penalty, &pin_nodes_))
+                           kRipupForeignPenalty, &pin_nodes_))
           continue;
         path = scratch->path;
       }
@@ -680,7 +698,7 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
         if (owner != -1 && owner != subnet.net) blockers.insert(owner);
       }
       if (blockers.empty() ||
-          static_cast<int>(blockers.size()) > config_.ripup_max_blockers)
+          static_cast<int>(blockers.size()) > kRipupMaxBlockers)
         continue;
       memo.valid = false;  // this probe changes the grid
 
@@ -742,14 +760,14 @@ std::vector<DetailedRouter::SubnetKey> DetailedRouter::sp_key(
 
 std::vector<Rect> DetailedRouter::sp_read_set(netlist::NetId net) const {
   const auto& rg = grid_->routing_grid();
-  Coord escalated = config_.base_margin;
-  for (int retry = 1; retry <= config_.max_retries; ++retry) escalated *= 4;
+  Coord escalated = kBaseMargin;
+  for (int retry = 1; retry <= kMaxRetries; ++retry) escalated *= 4;
   std::vector<Rect> boxes;
   for (const std::size_t idx :
        subnets_of_net_[static_cast<std::size_t>(net)]) {
     const netlist::Subnet& subnet = (*subnets_)[idx];
     boxes.push_back(
-        subnet_search_box(subnet, *plan_, idx, rg, config_.base_margin)
+        subnet_search_box(subnet, *plan_, idx, rg, kBaseMargin)
             .hull(subnet.bbox().inflated(escalated).intersect(rg.extent())));
   }
   return boxes;
@@ -829,7 +847,7 @@ void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
   namespace keys = telemetry::keys;
   telemetry::Counter& rounds = telemetry::counter(keys::kSpCleanupRounds);
   telemetry::Counter& sp_skips = telemetry::counter(keys::kMemoSpSkips);
-  for (int round = 0; round < config_.sp_cleanup_rounds; ++round) {
+  for (int round = 0; round < kSpCleanupMaxRounds; ++round) {
     const auto sites = short_polygon_ends(*grid_);
     if (sites.empty()) return;
     // A net is cleaned only when at least one of its short-polygon ends
@@ -853,7 +871,7 @@ void DetailedRouter::cleanup_short_polygons(exec::ThreadPool* pool) {
     std::sort(offenders.begin(), offenders.end());  // deterministic order
     rounds.add(1);
     bool round_changed = false;
-    astar_.set_beta_scale(config_.sp_cleanup_beta_scale);
+    astar_.set_beta_scale(kSpCleanupBetaScale);
     for (const netlist::NetId net : offenders) {
       // The reroute reads only the key inputs and the grid inside its read
       // set: when neither changed since a run that changed nothing, it

@@ -20,23 +20,6 @@ struct DetailedConfig {
   /// Order subnets by planned bad ends (paper SIII-D2). Off = baseline
   /// bottom-up (smallest bbox first) ordering.
   bool stitch_net_ordering = true;
-  /// Margin in tracks added around a subnet's bbox for the first A* attempt.
-  geom::Coord base_margin = 8;
-  /// Each retry multiplies the margin by 4; after the last retry the subnet
-  /// goes to the rip-up pass.
-  int max_retries = 1;
-  /// Rip-up & reroute rounds for subnets that could not be routed — part of
-  /// the second bottom-up pass of the framework (Fig. 6).
-  int ripup_rounds = 2;
-  /// Maximum number of blocking nets ripped to rescue one failed subnet.
-  int ripup_max_blockers = 4;
-  /// Per-node price of crossing a foreign wire in the rip-up probe.
-  double ripup_foreign_penalty = 40.0;
-  /// Short-polygon cleanup iterations: nets owning short polygons are
-  /// ripped and rerouted with a stricter (scaled-beta) cost. Runs only when
-  /// the stitch costs are enabled.
-  int sp_cleanup_rounds = 3;
-  double sp_cleanup_beta_scale = 8.0;
   /// Upper bound on one batch of subnets with pairwise-disjoint search
   /// boxes, routed concurrently on the caller's thread pool (bounds commit
   /// latency and progress granularity; must never depend on the thread

@@ -24,6 +24,9 @@ namespace {
 /// congestion rows frozen at the batch barrier.
 thread_local GlobalSearchScratch tl_scratch;  // NOLINT(cert-err58-cpp)
 
+/// Rip-up & reroute passes over subnets crossing overflowed resources.
+constexpr int kReroutePasses = 6;
+
 /// Walk the h/v edges of a committed tile path.
 template <typename Fn>
 void for_each_edge(const std::vector<GCellId>& tiles, Fn&& fn) {
@@ -172,7 +175,7 @@ std::vector<GCellId> GlobalRouter::search(GCellId from, GCellId to,
                                           bool corridor) const {
   if (from == to) return {from};
   GlobalSearchScratch& scratch = tl_scratch;
-  const GlobalSearchParams params{config_.turn_cost, config_.vertex_cost,
+  const GlobalSearchParams params{kTurnCost, config_.vertex_cost,
                                   vertex_weight};
   // Fast path: a provably-optimal one-bend candidate skips the heap (and
   // the scratch) entirely. An accepted candidate is a *whole-grid* optimum,
@@ -194,23 +197,22 @@ std::vector<std::vector<GCellId>> GlobalRouter::plan_coarse(
     const std::vector<Rect>& tile_bboxes) const {
   TELEMETRY_SPAN("global.ml.coarse");
   std::vector<std::vector<GCellId>> corridors(subnets.size());
-  const int factor = std::max(2, config_.multilevel.coarsen_factor);
-  RoutingGraph coarse = coarsen_graph(graph_, factor);
+  RoutingGraph coarse = coarsen_graph(graph_, kCoarsenFactor);
   const Rect coarse_full{0, 0, coarse.tiles_x() - 1, coarse.tiles_y() - 1};
-  const GlobalSearchParams params{config_.turn_cost, config_.vertex_cost,
-                                  config_.vertex_cost_weight};
+  const GlobalSearchParams params{kTurnCost, config_.vertex_cost,
+                                  kVertexCostWeight};
   GlobalSearchScratch scratch;
   std::int64_t coarse_nets = 0;
   for (std::size_t idx = 0; idx < subnets.size(); ++idx) {
     const Rect& bbox = tile_bboxes[idx];
     const auto span =
         std::max(bbox.xhi - bbox.xlo, bbox.yhi - bbox.ylo);
-    if (span < config_.multilevel.min_span) continue;
+    if (span < kMinCoarseSpan) continue;
     const auto& subnet = subnets[idx];
-    const GCellId cfrom{grid_->tile_of_x(subnet.a.x) / factor,
-                        grid_->tile_of_y(subnet.a.y) / factor};
-    const GCellId cto{grid_->tile_of_x(subnet.b.x) / factor,
-                      grid_->tile_of_y(subnet.b.y) / factor};
+    const GCellId cfrom{grid_->tile_of_x(subnet.a.x) / kCoarsenFactor,
+                        grid_->tile_of_y(subnet.a.y) / kCoarsenFactor};
+    const GCellId cto{grid_->tile_of_x(subnet.b.x) / kCoarsenFactor,
+                      grid_->tile_of_y(subnet.b.y) / kCoarsenFactor};
     std::vector<GCellId> cells;
     if (try_pattern_route(coarse, params, cfrom, cto, scratch.path)) {
       cells.assign(scratch.path.begin(), scratch.path.end());
@@ -261,13 +263,12 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
           ? static_cast<std::size_t>(config_.net_batch_size)
           : 1;
   const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
-  const double base_vertex_weight = config_.vertex_cost_weight;
   telemetry::Counter& rerouted_counter =
       telemetry::counter(telemetry::keys::kGlobalRerouted);
   telemetry::Counter& passes_counter =
       telemetry::counter(telemetry::keys::kGlobalReroutePasses);
 
-  for (int pass = 0; pass < config_.reroute_passes && !stop_requested();
+  for (int pass = 0; pass < kReroutePasses && !stop_requested();
        ++pass) {
     if (graph_.total_edge_overflow() == 0 &&
         graph_.total_vertex_overflow() == 0)
@@ -277,7 +278,7 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
     // Escalate the line-end price per pass as a local, not by mutating
     // config_: search() runs concurrently within a batch, and an in-place
     // write would also leak a stale weight on early exit.
-    const double pass_vertex_weight = base_vertex_weight * (1 << (pass + 1));
+    const double pass_vertex_weight = kVertexCostWeight * (1 << (pass + 1));
     int rerouted = 0;
     // Batch-synchronous rip-up & reroute: walk the paths in index order,
     // gathering the next `batch` subnets that are congested against the
@@ -380,10 +381,8 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
   // fallback on failure), which bounds the searched area independently of
   // grid extent.
   std::vector<std::vector<GCellId>> corridors;
-  if (config_.multilevel.enabled && !stop_requested())
+  if (config_.multilevel && !stop_requested())
     corridors = plan_coarse(subnets, tile_bboxes);
-  const int ml_factor = std::max(2, config_.multilevel.coarsen_factor);
-  const int ml_margin = config_.multilevel.corridor_margin;
 
   const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
   std::size_t committed = 0;
@@ -410,10 +409,10 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
           // worker's scratch (the mask is thread-local, like the search
           // arrays) and search inside it.
           const Rect corridor_bbox =
-              stamp_corridor(corridors[idx], ml_factor, ml_margin,
+              stamp_corridor(corridors[idx], kCoarsenFactor, kCorridorMargin,
                              graph_.tiles_x(), graph_.tiles_y(), tl_scratch);
           path.tiles = search(from, to, corridor_bbox,
-                              config_.vertex_cost_weight, /*corridor=*/true);
+                              kVertexCostWeight, /*corridor=*/true);
           if (!path.tiles.empty())
             ml_corridor_hits_counter_->add(1);
           else
@@ -424,10 +423,10 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
           const Rect region = scheduler.cluster_region(tile_bboxes[idx], level)
                                   .inflated(1)
                                   .intersect(full);
-          path.tiles = search(from, to, region, config_.vertex_cost_weight);
+          path.tiles = search(from, to, region, kVertexCostWeight);
         }
         if (path.tiles.empty())
-          path.tiles = search(from, to, full, config_.vertex_cost_weight);
+          path.tiles = search(from, to, full, kVertexCostWeight);
         path.routed = !path.tiles.empty();
       });
       // Batch barrier: merge the batch's demands in index order.
@@ -510,9 +509,10 @@ void GlobalRouter::reroute_subset(const std::vector<netlist::Subnet>& subnets,
           ? static_cast<std::size_t>(config_.net_batch_size)
           : 1;
   // Batch-synchronous initial routing of the closure, in ascending index
-  // order against the live demand of the untouched remainder. The region
-  // policy mirrors the reroute passes (pin-bbox hull plus margin, full-grid
-  // fallback); both ECO compare paths run this same code, which is all the
+  // order against the live demand of the untouched remainder. The region is
+  // the pin tiles' bbox plus a 4-tile margin, with a full-grid fallback (the
+  // reroute passes instead search the hull of the path's current tiles);
+  // both ECO compare paths run this same code, which is all the
   // bit-identity check needs.
   for (std::size_t lo = 0; lo < dirty.size(); lo += batch) {
     const std::size_t hi = std::min(dirty.size(), lo + batch);
@@ -532,9 +532,9 @@ void GlobalRouter::reroute_subset(const std::vector<netlist::Subnet>& subnets,
                                std::max(from.tx, to.tx), std::max(from.ty, to.ty)}
                               .inflated(4)
                               .intersect(full);
-      path.tiles = search(from, to, region, config_.vertex_cost_weight);
+      path.tiles = search(from, to, region, kVertexCostWeight);
       if (path.tiles.empty())
-        path.tiles = search(from, to, full, config_.vertex_cost_weight);
+        path.tiles = search(from, to, full, kVertexCostWeight);
       path.routed = !path.tiles.empty();
     });
     for (std::size_t i = lo; i < hi; ++i)

@@ -29,15 +29,6 @@ struct GlobalRouterConfig {
   /// Price line-end (vertex) congestion, eq. (2)-(3). Off = the "w/o line
   /// end consideration" column of Table IV.
   bool vertex_cost = true;
-  /// Multiplier on the vertex (line-end) congestion term. Line-end capacity
-  /// is scarcer than edge capacity (a handful of safe tracks per tile), so
-  /// pricing it at parity lets overflow through; the paper's near-zero TVOF
-  /// needs the term to dominate small detours.
-  double vertex_cost_weight = 8.0;
-  /// Rip-up & reroute passes over subnets crossing overflowed resources.
-  int reroute_passes = 6;
-  /// Extra cost per bend, to prefer straight global routes.
-  double turn_cost = 0.5;
   /// Subnets per batch in the batch-synchronous schedule: each batch is
   /// searched in parallel against the congestion state frozen at the batch
   /// start, then its demands are merged in index order at the batch
@@ -49,7 +40,7 @@ struct GlobalRouterConfig {
   /// the determinism contract: never derive this from the thread count.
   int net_batch_size = 1;
   /// Coarsen–route–refine multilevel pass for long subnets (DESIGN.md §15).
-  MultilevelConfig multilevel;
+  bool multilevel = false;
 };
 
 /// Global route of one 2-pin subnet: a 4-connected GCell path from the tile
@@ -216,7 +207,7 @@ class GlobalRouter {
                                                   bool corridor = false) const;
 
   /// Sequential coarse pass of the multilevel schedule: route every subnet
-  /// whose tile bbox spans >= multilevel.min_span on the coarsened graph
+  /// whose tile bbox spans >= kMinCoarseSpan on the coarsened graph
   /// (committing coarse demand net by net, in index order, so long nets
   /// spread out), and return the per-subnet coarse paths (empty vector =
   /// not a coarse candidate). Deterministic: runs on the calling thread

@@ -55,20 +55,18 @@ class MultilevelScheduler {
 // corridor search that fails falls back to the full grid, exactly like the
 // cluster-region fallback of the flat pass.
 
-/// Knobs of the coarsen–route–refine global pass.
-struct MultilevelConfig {
-  bool enabled = false;
-  /// Fine tiles per coarse cell along each axis (>= 2).
-  int coarsen_factor = 8;
-  /// Minimum fine-tile bbox span of a subnet for coarse-first routing;
-  /// shorter subnets keep the flat cluster-region schedule (a corridor
-  /// cannot beat a region that small).
-  int min_span = 16;
-  /// Fine tiles of margin around each coarse cell when the corridor is
-  /// stamped, so refinement can detour around congestion crossing the
-  /// corridor boundary.
-  int corridor_margin = 2;
-};
+/// Fine tiles per coarse cell along each axis of the coarsen–route–refine
+/// global pass (>= 2).
+inline constexpr int kCoarsenFactor = 8;
+static_assert(kCoarsenFactor >= 2);
+/// Minimum fine-tile bbox span of a subnet for coarse-first routing;
+/// shorter subnets keep the flat cluster-region schedule (a corridor cannot
+/// beat a region that small).
+inline constexpr int kMinCoarseSpan = 16;
+/// Fine tiles of margin around each coarse cell when the corridor is
+/// stamped, so refinement can detour around congestion crossing the
+/// corridor boundary.
+inline constexpr int kCorridorMargin = 2;
 
 /// Aggregate `fine` into a dense coarse graph of ceil(X/factor) x
 /// ceil(Y/factor) cells: a coarse h-edge's capacity sums the fine h-edge

@@ -9,15 +9,23 @@
 
 namespace mebl::global {
 
-/// Cost-model knobs of one global-routing search, split out of
-/// GlobalRouterConfig so the kernel and the pattern-route fast path are free
-/// functions a test or bench can drive against a bare RoutingGraph. The
+/// Extra cost per bend, to prefer straight global routes.
+inline constexpr double kTurnCost = 0.5;
+/// Multiplier on the vertex (line-end) congestion term. Line-end capacity
+/// is scarcer than edge capacity (a handful of safe tracks per tile), so
+/// pricing it at parity lets overflow through; the paper's near-zero TVOF
+/// needs the term to dominate small detours.
+inline constexpr double kVertexCostWeight = 8.0;
+
+/// Cost-model parameters of one global-routing search, passed as a struct
+/// so the kernel and the pattern-route fast path are free functions a test
+/// or bench can drive against a bare RoutingGraph with any costs. The
 /// vertex weight is per-search because the reroute passes escalate it
 /// without mutating shared config (DESIGN.md §10).
 struct GlobalSearchParams {
-  double turn_cost = 0.5;
+  double turn_cost = kTurnCost;
   bool vertex_cost = true;
-  double vertex_weight = 8.0;
+  double vertex_weight = kVertexCostWeight;
 };
 
 /// Per-search scratch state of the global-routing kernel: epoch-stamped

@@ -479,7 +479,6 @@ class SearchCore {
 
 struct Solver::Impl {
   exec::ThreadPool* pool = nullptr;
-  Solution last;
   ModelIndex index;
   SearchCore root;
   // Reusable subproblem search states, recycled across fan-outs and solves.
@@ -508,15 +507,12 @@ Solver& Solver::operator=(Solver&&) noexcept = default;
 
 void Solver::set_pool(exec::ThreadPool* pool) { impl_->pool = pool; }
 
-const Solution& Solver::last_solution() const noexcept { return impl_->last; }
-
 Solution Solver::solve(const Model& model, const SolveOptions& options) {
   Impl& im = *impl_;
   Solution out;
   if (model.num_vars() == 0) {
     out.status = SolveStatus::kOptimal;
     out.objective = 0.0;
-    im.last = out;
     return out;
   }
 
@@ -591,7 +587,7 @@ Solution Solver::solve(const Model& model, const SolveOptions& options) {
           base.max_nodes != std::numeric_limits<std::int64_t>::max())
         sub_limits.max_nodes = std::max<std::int64_t>(
             1, base.max_nodes / static_cast<std::int64_t>(subs.size()));
-      if (options.share_incumbent) sub_limits.shared_best = &shared_best;
+      sub_limits.shared_best = &shared_best;
     }
 
     struct SubResult {
@@ -660,22 +656,7 @@ Solution Solver::solve(const Model& model, const SolveOptions& options) {
     out.status = complete ? SolveStatus::kInfeasible : SolveStatus::kLimit;
   }
   out.limit_hit = !complete;
-  im.last = out;
   return out;
-}
-
-Solution Solver::solve_warmed(const Model& model, SolveOptions options) {
-  const Solution& prev = impl_->last;
-  if (!options.warm_start && !prev.values.empty() &&
-      prev.values.size() == model.num_vars() &&
-      model.is_feasible(prev.values)) {
-    options.warm_start = prev.values;
-    if (options.branch_hint.empty())
-      for (std::size_t v = 0; v < prev.values.size(); ++v)
-        if (prev.values[v] != 0)
-          options.branch_hint.push_back(static_cast<VarId>(v));
-  }
-  return solve(model, options);
 }
 
 }  // namespace mebl::ilp

@@ -58,12 +58,6 @@ struct SolveOptions {
   /// every pool size for the merged solution to be bit-identical. 1 runs the
   /// plain sequential DFS of the seed solver; 0 selects the default (32).
   int split_target = 0;
-  /// Allow subproblems to prune against the best objective found by any
-  /// other subproblem so far (deadline/time-limit mode only; node_budget
-  /// forces it off). Sharing never changes the merged solution — only
-  /// strictly-worse branches are cut — but nodes_explored then varies with
-  /// the execution interleaving.
-  bool share_incumbent = true;
 };
 
 /// Solve result: status, incumbent (when any), objective and search stats.
@@ -99,12 +93,13 @@ struct Solution {
 ///    and the incumbents are merged in subproblem-index order with exact
 ///    comparisons. Under that discipline the merged solution is
 ///    bit-identical at any pool size, including none (DESIGN.md §7).
-///    Cross-subproblem incumbent sharing only ever cuts strictly-worse
-///    branches, so it accelerates the search without touching the result.
+///    Outside node-budget mode, subproblems prune against the best
+///    objective any other subproblem has found so far. That sharing only
+///    ever cuts strictly-worse branches, so it accelerates the search
+///    without touching the result (nodes_explored then varies with the
+///    execution interleaving).
 ///  * Warm starts. solve() accepts a feasible assignment as the initial
-///    incumbent plus a branch hint; solve_warmed() re-seeds from the
-///    previous solve's solution when the model shape matches (adjacent
-///    panels share structure, ECO re-solves the same panel).
+///    incumbent plus a branch hint.
 ///  * A deterministic node budget (SolveOptions::node_budget) as the
 ///    replayable alternative to wall-clock limits.
 ///
@@ -127,19 +122,8 @@ class Solver {
 
   void set_pool(exec::ThreadPool* pool);
 
-  /// Solve one model. The result is also retained as last_solution().
+  /// Solve one model.
   Solution solve(const Model& model, const SolveOptions& options = {});
-
-  /// Like solve(), but seeds options.warm_start / options.branch_hint from
-  /// the previous solve's incumbent when that assignment is feasible for
-  /// `model` (same variable count and all constraints hold). Falls back to
-  /// a cold solve otherwise. Any warm start the caller already put in
-  /// `options` wins over the remembered one.
-  Solution solve_warmed(const Model& model, SolveOptions options = {});
-
-  /// Result of the most recent solve() on this object (default-constructed
-  /// before the first call).
-  [[nodiscard]] const Solution& last_solution() const noexcept;
 
  private:
   struct Impl;

@@ -235,6 +235,29 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
     }
     snapshot = snap.str();
   }
+  // Every outcome past this point, the full-route fallback included, goes
+  // through the replay check: rebuild a resident from the snapshot, run the
+  // same ECO on it, and compare canonical quality blocks.
+  const auto verified = [&](EcoOutcome result) {
+    if (!request.verify || !result.ok) return result;
+    std::istringstream snap(snapshot);
+    auto rebuilt = from_state(snap, config_);
+    bool matched = false;
+    if (rebuilt != nullptr) {
+      EcoRequest replay = request;
+      replay.verify = false;
+      const EcoOutcome replayed = rebuilt->eco(replay, pool, nullptr);
+      matched = replayed.ok && canonical_quality_block(result.report) ==
+                                   canonical_quality_block(replayed.report);
+    }
+    result.verified = matched;
+    result.verify_mismatch = !matched;
+    if (!matched)
+      util::log_warn()
+          << "eco verify: incremental result diverged from the replay on "
+             "the reloaded pre-ECO state";
+    return result;
+  };
 
   exec::Cancellation local_cancel;
   exec::Cancellation& stop = cancel != nullptr ? *cancel : local_cancel;
@@ -297,7 +320,7 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
     EcoOutcome full = route_full(pool, cancel, nullptr);
     full.fallback_full = true;
     full.dirty_subnets = closure.size();
-    return full;
+    return verified(std::move(full));
   }
 
   // --- assignment: replan only the panels the closure touches --------------
@@ -389,27 +412,7 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
   out.report = report::build_run_report(result_, design_.grid,
                                         design_.netlist);
   out.ok = !out.cancelled;
-
-  // --- bit-identity check: replay on a resident rebuilt from the snapshot --
-  if (request.verify && out.ok) {
-    std::istringstream snap(snapshot);
-    auto rebuilt = from_state(snap, config_);
-    bool matched = false;
-    if (rebuilt != nullptr) {
-      EcoRequest replay = request;
-      replay.verify = false;
-      const EcoOutcome replayed = rebuilt->eco(replay, pool, nullptr);
-      matched = replayed.ok && canonical_quality_block(out.report) ==
-                                   canonical_quality_block(replayed.report);
-    }
-    out.verified = matched;
-    out.verify_mismatch = !matched;
-    if (!matched)
-      util::log_warn()
-          << "eco verify: incremental result diverged from the replay on "
-             "the reloaded pre-ECO state";
-  }
-  return out;
+  return verified(std::move(out));
 }
 
 bool ResidentDesign::save_state(std::ostream& out) const {

@@ -61,7 +61,8 @@ struct EcoOutcome {
   bool ok = false;
   std::string error;  ///< set when !ok
   report::RunReport report;
-  /// The global dirty closure size (0 for full routes / full fallback).
+  /// The global dirty closure size (0 for full routes; for a full fallback,
+  /// the closure that triggered it).
   std::size_t dirty_subnets = 0;
   /// The ECO exceeded kEcoFullFallbackFraction and re-routed everything.
   bool fallback_full = false;

@@ -394,23 +394,22 @@ void Server::dispatch_loop(std::size_t lane) {
       scheduler_.close();
       continue;
     }
-    if (job->request.op == Op::kEco) {
-      // ECO coalescing: absorb consecutive queued ECOs for the same
-      // design into one batched apply. pop_head_if never skips past a
-      // non-matching head, so per-design order is untouched.
-      std::vector<Job> batch;
-      const std::string design = job->request.design;
-      batch.push_back(std::move(*job));
+    // Every other job runs as a batch. ECO coalescing absorbs consecutive
+    // queued ECOs for the same design into one batched apply; any other op
+    // is a batch of one. pop_head_if never skips past a non-matching head,
+    // so per-design order is untouched.
+    std::vector<Job> batch;
+    batch.push_back(std::move(*job));
+    if (batch.front().request.op == Op::kEco) {
+      const std::string design = batch.front().request.design;
       while (std::optional<Job> next =
                  scheduler_.pop_head_if(lane, [&design](const Job& queued) {
                    return queued.request.op == Op::kEco &&
                           queued.request.design == design;
                  }))
         batch.push_back(std::move(*next));
-      execute_eco_batch(batch, lane);
-      continue;
     }
-    execute(*job, lane);
+    execute(batch, lane);
   }
   // Drain-and-stop: the last lane to exit tells the I/O loop and wait()ers.
   if (lanes_live_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -424,85 +423,25 @@ void Server::dispatch_loop(std::size_t lane) {
   }
 }
 
-void Server::execute(const Job& job, std::size_t lane) {
-  // Request-scoped tracing: the tag is thread-local and the exec pool hands
-  // it down to its workers, so every span recorded for this job — on this
-  // lane thread or inside the router stages — carries this request id even
-  // while other lanes run their own jobs.
-  const telemetry::RequestScope request_scope(
-      static_cast<std::uint64_t>(job.request.id));
-  const std::uint64_t start_ns = telemetry::now_ns();
-  const std::uint64_t wait_ns =
-      start_ns > job.enqueue_ns ? start_ns - job.enqueue_ns : 0;
-  telemetry::histogram(keys::kServeQueueWaitNs).record_ns(wait_ns);
-  telemetry::Tracer::record_span("serve.queue_wait", job.enqueue_ns, wait_ns);
-  jobs_inflight_.fetch_add(1, std::memory_order_relaxed);
-  LaneStats& stats = *lane_stats_[lane];
-  stats.busy.store(true, std::memory_order_relaxed);
-
-  Response response;
-  if (job.cancel->stop_requested()) {
-    // Stopped while still queued: answer without starting any work. An
-    // already-expired deadline is a structured rejection, not a start-
-    // then-cancel.
-    response = make_stopped(job.request.id, job.cancel->reason());
-    if (job.cancel->reason() == exec::StopReason::kDeadline) {
-      response.payload["rejected_before_start"] = true;
-      telemetry::counter(keys::kServeDeadlineRejected).add(1);
-    }
-  } else {
-    TELEMETRY_SPAN("serve.dispatch");
-    switch (job.request.op) {
-      case Op::kLoad: response = run_load(job); break;
-      case Op::kRoute: response = run_route(job, lane); break;
-      case Op::kSaveState: response = run_save_state(job); break;
-      case Op::kLoadState: response = run_load_state(job); break;
-      default:
-        response = make_error(job.request.id, "unsupported operation");
-        break;
-    }
-  }
-
-  const std::uint64_t run_ns = telemetry::now_ns() - start_ns;
-  telemetry::histogram(keys::kServeJobNs).record_ns(run_ns);
-  if (job.request.op == Op::kRoute)
-    telemetry::histogram(keys::kServeRouteNs).record_ns(run_ns);
-  if (response.type == "error")
-    telemetry::counter(keys::kServeJobsFailed).add(1);
-  else if (response.type == "cancelled")
-    telemetry::counter(keys::kServeJobsCancelled).add(1);
-  const double run_seconds = static_cast<double>(run_ns) / 1e9;
-  if (config_.slow_job_seconds > 0.0 &&
-      run_seconds >= config_.slow_job_seconds) {
-    telemetry::counter(keys::kServeSlowJobs).add(1);
-    log_slow_job(job, response, static_cast<double>(wait_ns) / 1e9,
-                 run_seconds);
-  }
-
-  stats.busy.store(false, std::memory_order_relaxed);
-  stats.jobs.fetch_add(1, std::memory_order_relaxed);
-  jobs_inflight_.fetch_sub(1, std::memory_order_relaxed);
-  scheduler_.finish(job.client, job.request.id);
-  jobs_completed_.fetch_add(1, std::memory_order_acq_rel);
-  send_response(job.client, response);
-}
-
-void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
+void Server::execute(const std::vector<Job>& batch, std::size_t lane) {
   LaneStats& stats = *lane_stats_[lane];
   const std::uint64_t start_ns = telemetry::now_ns();
+  const auto wait_ns = [start_ns](const Job& job) {
+    return start_ns > job.enqueue_ns ? start_ns - job.enqueue_ns : 0;
+  };
 
-  // Members stopped while queued answer individually (a deadline that
-  // expired in the queue is a structured rejection); the rest merge.
-  std::vector<Job*> live;
+  // Members stopped while queued answer without starting any work (an
+  // already-expired deadline is a structured rejection, not a start-
+  // then-cancel); the rest run together.
+  std::vector<const Job*> live;
   live.reserve(batch.size());
-  for (Job& member : batch) {
+  for (const Job& member : batch) {
     const telemetry::RequestScope member_scope(
         static_cast<std::uint64_t>(member.request.id));
-    const std::uint64_t wait_ns =
-        start_ns > member.enqueue_ns ? start_ns - member.enqueue_ns : 0;
-    telemetry::histogram(keys::kServeQueueWaitNs).record_ns(wait_ns);
+    const std::uint64_t waited_ns = wait_ns(member);
+    telemetry::histogram(keys::kServeQueueWaitNs).record_ns(waited_ns);
     telemetry::Tracer::record_span("serve.queue_wait", member.enqueue_ns,
-                                   wait_ns);
+                                   waited_ns);
     if (!member.cancel->stop_requested()) {
       live.push_back(&member);
       continue;
@@ -513,73 +452,117 @@ void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
       response.payload["rejected_before_start"] = true;
       telemetry::counter(keys::kServeDeadlineRejected).add(1);
     }
-    if (response.type == "error")
-      telemetry::counter(keys::kServeJobsFailed).add(1);
-    else
-      telemetry::counter(keys::kServeJobsCancelled).add(1);
-    scheduler_.finish(member.client, member.request.id);
-    jobs_completed_.fetch_add(1, std::memory_order_acq_rel);
-    stats.jobs.fetch_add(1, std::memory_order_relaxed);
-    send_response(member.client, response);
+    complete(member, response, stats);
   }
   if (live.empty()) return;
 
-  // One merged rip-up/reroute for the whole batch: net and pin-move lists
-  // union in request order (the resident dedups nets and replays moves
-  // sequentially), verify is sticky, and the first member's token steers
-  // cancellation. The batch runs under the leader's request tag.
-  Job& leader = *live.front();
+  // Request-scoped tracing: the batch runs under its leader's tag. The tag
+  // is thread-local and the exec pool hands it down to its workers, so
+  // every span recorded for this job — on this lane thread or inside the
+  // router stages — carries the leader's request id even while other
+  // lanes run their own jobs.
+  const Job& leader = *live.front();
   const telemetry::RequestScope request_scope(
       static_cast<std::uint64_t>(leader.request.id));
   jobs_inflight_.fetch_add(static_cast<std::int64_t>(live.size()),
                            std::memory_order_relaxed);
   stats.busy.store(true, std::memory_order_relaxed);
 
-  std::shared_ptr<ResidentDesign> resident =
-      cache_.get(leader.request.design);
-  EcoOutcome outcome;
-  if (resident != nullptr) {
-    EcoRequest eco;
-    for (const Job* member : live) {
-      const Request& request = member->request;
-      eco.nets.insert(eco.nets.end(), request.nets.begin(),
-                      request.nets.end());
-      eco.net_names.insert(eco.net_names.end(), request.net_names.begin(),
-                           request.net_names.end());
-      eco.pin_moves.insert(eco.pin_moves.end(), request.moves.begin(),
-                           request.moves.end());
-      eco.verify = eco.verify || request.verify;
+  std::vector<Response> responses;
+  {
+    TELEMETRY_SPAN("serve.dispatch");
+    switch (leader.request.op) {
+      case Op::kEco: responses = run_eco(live, lane); break;
+      case Op::kLoad: responses.push_back(run_load(leader)); break;
+      case Op::kRoute: responses.push_back(run_route(leader, lane)); break;
+      case Op::kSaveState: responses.push_back(run_save_state(leader)); break;
+      case Op::kLoadState: responses.push_back(run_load_state(leader)); break;
+      default:
+        responses.push_back(
+            make_error(leader.request.id, "unsupported operation"));
+        break;
     }
-    telemetry::counter(keys::kServeJobsEco)
-        .add(static_cast<std::int64_t>(live.size()));
-    if (live.size() > 1)
-      telemetry::counter(keys::kServeEcoCoalesced)
-          .add(static_cast<std::int64_t>(live.size() - 1));
-    {
-      TELEMETRY_SPAN("serve.dispatch");
-      outcome =
-          resident->eco(eco, lane_pools_[lane].get(), leader.cancel.get());
-    }
-    if (outcome.fallback_full)
-      telemetry::counter(keys::kServeEcoFallbackFull).add(1);
   }
 
   const std::uint64_t run_ns = telemetry::now_ns() - start_ns;
   telemetry::histogram(keys::kServeJobNs).record_ns(run_ns);
-  telemetry::histogram(keys::kServeEcoNs).record_ns(run_ns);
+  if (leader.request.op == Op::kRoute)
+    telemetry::histogram(keys::kServeRouteNs).record_ns(run_ns);
+  else if (leader.request.op == Op::kEco)
+    telemetry::histogram(keys::kServeEcoNs).record_ns(run_ns);
   const double run_seconds = static_cast<double>(run_ns) / 1e9;
+  if (config_.slow_job_seconds > 0.0 &&
+      run_seconds >= config_.slow_job_seconds) {
+    telemetry::counter(keys::kServeSlowJobs).add(1);
+    log_slow_job(leader, responses.front(),
+                 static_cast<double>(wait_ns(leader)) / 1e9, run_seconds);
+  }
+
+  stats.busy.store(false, std::memory_order_relaxed);
+  jobs_inflight_.fetch_sub(static_cast<std::int64_t>(live.size()),
+                           std::memory_order_relaxed);
+  for (std::size_t i = 0; i < live.size(); ++i)
+    complete(*live[i], responses[i], stats);
+}
+
+void Server::complete(const Job& job, const Response& response,
+                      LaneStats& stats) {
+  if (response.type == "error")
+    telemetry::counter(keys::kServeJobsFailed).add(1);
+  else if (response.type == "cancelled")
+    telemetry::counter(keys::kServeJobsCancelled).add(1);
+  stats.jobs.fetch_add(1, std::memory_order_relaxed);
+  scheduler_.finish(job.client, job.request.id);
+  jobs_completed_.fetch_add(1, std::memory_order_acq_rel);
+  send_response(job.client, response);
+}
+
+std::vector<Response> Server::run_eco(const std::vector<const Job*>& batch,
+                                      std::size_t lane) {
+  const Job& leader = *batch.front();
+  std::vector<Response> responses;
+  responses.reserve(batch.size());
+  std::shared_ptr<ResidentDesign> resident =
+      cache_.get(leader.request.design);
+  if (resident == nullptr) {
+    for (const Job* member : batch)
+      responses.push_back(
+          make_error(member->request.id,
+                     "unknown design '" + member->request.design + "'"));
+    return responses;
+  }
+
+  // One merged rip-up/reroute for the whole batch: net and pin-move lists
+  // union in request order (the resident dedups nets and replays moves
+  // sequentially), verify is sticky, and the leader's token steers
+  // cancellation.
+  EcoRequest eco;
+  for (const Job* member : batch) {
+    const Request& request = member->request;
+    eco.nets.insert(eco.nets.end(), request.nets.begin(), request.nets.end());
+    eco.net_names.insert(eco.net_names.end(), request.net_names.begin(),
+                         request.net_names.end());
+    eco.pin_moves.insert(eco.pin_moves.end(), request.moves.begin(),
+                         request.moves.end());
+    eco.verify = eco.verify || request.verify;
+  }
+  telemetry::counter(keys::kServeJobsEco)
+      .add(static_cast<std::int64_t>(batch.size()));
+  if (batch.size() > 1)
+    telemetry::counter(keys::kServeEcoCoalesced)
+        .add(static_cast<std::int64_t>(batch.size() - 1));
+  const EcoOutcome outcome =
+      resident->eco(eco, lane_pools_[lane].get(), leader.cancel.get());
+  if (outcome.fallback_full)
+    telemetry::counter(keys::kServeEcoFallbackFull).add(1);
 
   // Fan the batch outcome back out: every member gets its own terminal
   // line (echoing its id) with the shared report and an eco.coalesced
   // count naming the batch size it rode in.
-  Response leader_response;
-  for (Job* member : live) {
+  for (const Job* member : batch) {
     const Request& request = member->request;
-    Response response;
-    if (resident == nullptr) {
-      response =
-          make_error(request.id, "unknown design '" + request.design + "'");
-    } else if (outcome.cancelled) {
+    Response& response = responses.emplace_back();
+    if (outcome.cancelled) {
       response = make_stopped(request.id, outcome.stop_reason);
     } else if (!outcome.ok) {
       response = make_error(request.id, outcome.error);
@@ -592,32 +575,14 @@ void Server::execute_eco_batch(std::vector<Job>& batch, std::size_t lane) {
       summary["dirty_subnets"] =
           static_cast<std::int64_t>(outcome.dirty_subnets);
       summary["fallback_full"] = outcome.fallback_full;
-      summary["coalesced"] = static_cast<std::int64_t>(live.size());
+      summary["coalesced"] = static_cast<std::int64_t>(batch.size());
       if (request.verify) {
         summary["verified"] = outcome.verified;
         summary["verify_mismatch"] = outcome.verify_mismatch;
       }
     }
-    if (response.type == "error")
-      telemetry::counter(keys::kServeJobsFailed).add(1);
-    else if (response.type == "cancelled")
-      telemetry::counter(keys::kServeJobsCancelled).add(1);
-    jobs_inflight_.fetch_sub(1, std::memory_order_relaxed);
-    scheduler_.finish(member->client, request.id);
-    jobs_completed_.fetch_add(1, std::memory_order_acq_rel);
-    stats.jobs.fetch_add(1, std::memory_order_relaxed);
-    send_response(member->client, response);
-    if (member == &leader) leader_response = std::move(response);
   }
-  if (config_.slow_job_seconds > 0.0 &&
-      run_seconds >= config_.slow_job_seconds) {
-    telemetry::counter(keys::kServeSlowJobs).add(1);
-    const std::uint64_t leader_wait_ns =
-        start_ns > leader.enqueue_ns ? start_ns - leader.enqueue_ns : 0;
-    log_slow_job(leader, leader_response,
-                 static_cast<double>(leader_wait_ns) / 1e9, run_seconds);
-  }
-  stats.busy.store(false, std::memory_order_relaxed);
+  return responses;
 }
 
 Response Server::run_load(const Job& job) {

@@ -126,11 +126,18 @@ class Server {
   /// the rest queue).
   void handle_line(std::uint64_t client, std::string_view line);
 
-  /// Execute one queued job on its lane thread and send its responses.
-  void execute(const Job& job, std::size_t lane);
-  /// Execute a coalesced batch of ECO jobs (>= 1, all for one design) as a
-  /// single merged rip-up/reroute; fan the responses back out per member.
-  void execute_eco_batch(std::vector<Job>& batch, std::size_t lane);
+  /// Execute queued jobs on their lane thread and send their responses:
+  /// one job, or a coalesced batch of ECO jobs (all for one design) run as
+  /// a single merged rip-up/reroute. Members stopped while queued are
+  /// answered without running.
+  void execute(const std::vector<Job>& batch, std::size_t lane);
+  /// The one completion path of every job: outcome counters, lane and
+  /// scheduler bookkeeping, then the terminal response.
+  void complete(const Job& job, const Response& response, LaneStats& stats);
+  /// Run a batch of live ECO jobs as one merged ECO; one response per
+  /// member, in batch order.
+  [[nodiscard]] std::vector<Response> run_eco(
+      const std::vector<const Job*>& batch, std::size_t lane);
   [[nodiscard]] Response run_load(const Job& job);
   [[nodiscard]] Response run_route(const Job& job, std::size_t lane);
   [[nodiscard]] Response run_save_state(const Job& job);

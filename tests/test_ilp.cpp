@@ -235,18 +235,6 @@ TEST(IlpSolver, NodeBudgetIsDeterministicAcrossPoolSizes) {
   }
 }
 
-TEST(IlpSolver, SolveWarmedReusesPreviousIncumbent) {
-  util::Rng rng(55);
-  const Model model = random_model(rng, 20);
-  Solver solver;
-  const Solution cold = solver.solve(model);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  const Solution warm = solver.solve_warmed(model);
-  EXPECT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(warm.objective, cold.objective);
-  EXPECT_TRUE(model.is_feasible(warm.values));
-}
-
 TEST(IlpSolver, LimitHitFlagSetOnTruncatedSearch) {
   util::Rng rng(31);
   const Model model = random_model(rng, 30);

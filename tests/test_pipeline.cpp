@@ -79,7 +79,7 @@ TEST(Pipeline, IlpTrackAssignmentWorksOnTinyCircuit) {
   const auto circuit = bench_suite::generate_circuit(spec, {}, 5);
   auto config = RouterConfig::stitch_aware();
   config.track_algorithm = TrackAlgorithm::kIlp;
-  config.ilp.time_limit_seconds = 5.0;
+  config.ilp_panel_seconds = 5.0;
   StitchAwareRouter router(circuit.grid, circuit.netlist, config);
   const auto result = router.run();
   EXPECT_GT(result.metrics.routability_pct(), 85.0);

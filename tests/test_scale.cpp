@@ -383,7 +383,7 @@ TEST_P(ScaleDeterminism, GlobalResultBitIdenticalAcrossThreads) {
   const auto route_with = [&](bool multilevel, int threads) {
     global::GlobalRouterConfig config;
     config.net_batch_size = 32;
-    config.multilevel.enabled = multilevel;
+    config.multilevel = multilevel;
     exec::ThreadPool pool(threads);
     global::GlobalRouter router(circuit.grid, config);
     return router.route(subnets, &pool);
@@ -524,15 +524,16 @@ TEST(CorridorSearch, LShapedCorridorConfinesThePath) {
 // -------------------------------------------------- multilevel telemetry
 
 TEST(Multilevel, PlansCoarseNetsAndEveryCorridorSearchResolves) {
+  // Paper scale, where subnets span enough tiles for the coarse pass.
   const auto* spec = bench_suite::find_spec("S9234");
   ASSERT_NE(spec, nullptr);
-  const auto circuit = bench_suite::generate_circuit(*spec, {}, kSeed);
+  const auto circuit = bench_suite::generate_circuit(
+      *spec, bench_suite::GeneratorConfig::full_scale(), kSeed);
   const auto subnets = netlist::decompose_all(circuit.netlist);
 
   global::GlobalRouterConfig config;
   config.net_batch_size = 32;
-  config.multilevel.enabled = true;
-  config.multilevel.min_span = 4;  // plan more of this mid-size circuit
+  config.multilevel = true;
 
   const auto before = telemetry::snapshot_counters();
   exec::ThreadPool pool(4);

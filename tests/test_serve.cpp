@@ -626,6 +626,26 @@ TEST(ServeEco, NodeBudgetedIlpEcoPassesVerifyReplay) {
   EXPECT_GT(stats.value(telemetry::keys::kTrackIlpNodes), 0);
 }
 
+// An ECO whose dirty closure passes kEcoFullFallbackFraction reroutes the
+// whole design; a verify request must still run the replay check on it.
+TEST(ServeEco, FallbackEcoIsVerified) {
+  ResidentDesign resident(s5378_design());
+  ASSERT_TRUE(resident.route_full().ok);
+
+  EcoRequest request;
+  request.nets = routable_nets(resident.design().netlist,
+                               resident.design().netlist.num_nets());
+  request.verify = true;
+
+  const EcoOutcome outcome = resident.eco(request);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_TRUE(outcome.fallback_full);
+  EXPECT_GT(outcome.dirty_subnets, 0u);
+  EXPECT_TRUE(outcome.verified)
+      << "full-route fallback skipped or failed the replay check";
+  EXPECT_FALSE(outcome.verify_mismatch);
+}
+
 TEST(ServeEco, UnknownNetNameFailsCleanly) {
   bench_suite::BenchmarkSpec spec;
   spec.name = "unit";
@@ -1314,8 +1334,24 @@ TEST(ServeServer, ExpiredDeadlineRejectedBeforeStart) {
   const report::Json* rejected = response->payload.get("rejected_before_start");
   ASSERT_NE(rejected, nullptr);
   EXPECT_TRUE(rejected->as_bool());
+
+  // A queued route takes the same path: occupy the lane again, then queue a
+  // route whose deadline expires while it waits.
+  ASSERT_GE(client.send(route), 0);
+  Request late_route = make_request(Op::kRoute, 0);
+  late_route.design = "busy";
+  late_route.deadline_seconds = 0.001;
+  const auto route_response = client.call(std::move(late_route));
+  ASSERT_TRUE(route_response.has_value());
+  ASSERT_EQ(route_response->type, "error");
+  EXPECT_EQ(route_response->error, "deadline exceeded");
+  const report::Json* route_rejected =
+      route_response->payload.get("rejected_before_start");
+  ASSERT_NE(route_rejected, nullptr);
+  EXPECT_TRUE(route_rejected->as_bool());
+
   const auto stats = telemetry::delta(before, telemetry::snapshot_counters());
-  EXPECT_EQ(stats.value(telemetry::keys::kServeDeadlineRejected), 1);
+  EXPECT_EQ(stats.value(telemetry::keys::kServeDeadlineRejected), 2);
   server.stop();
 }
 
