@@ -333,7 +333,7 @@ AssignWorkload make_assign_workload() {
   const auto subnets = netlist::decompose_all(w.circuit.netlist);
   global::GlobalRouter router(w.circuit.grid, {});
   const auto global_result = router.route(subnets);
-  w.plan = assign::extract_runs(global_result, w.circuit.grid);
+  w.plan = assign::extract_runs(global_result, subnets);
   return w;
 }
 

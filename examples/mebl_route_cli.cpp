@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
   config.with_threads(threads);
   core::StitchAwareRouter router(design->grid, design->netlist, config);
   StderrProgress reporter;
-  if (progress) router.add_observer(&reporter);
+  if (progress) router.set_observer(&reporter);
   const auto result = router.run();
   if (!trace_path.empty()) {
     if (!telemetry::Tracer::write_chrome_trace_file(trace_path)) {

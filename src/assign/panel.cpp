@@ -8,14 +8,14 @@ using geom::Orientation;
 using grid::GCellId;
 
 RoutePlan extract_runs(const global::GlobalResult& result,
-                       const grid::RoutingGrid& grid) {
-  (void)grid;
+                       const std::vector<netlist::Subnet>& subnets) {
+  assert(subnets.size() == result.paths.size());
   RoutePlan plan;
   plan.runs_of_path.resize(result.paths.size());
 
   for (std::size_t p = 0; p < result.paths.size(); ++p) {
     const auto& path = result.paths[p];
-    if (!path.routed || path.tiles.size() < 2) continue;
+    if (path.tiles.size() < 2) continue;
     const auto& tiles = path.tiles;
 
     std::size_t i = 0;
@@ -26,7 +26,7 @@ RoutePlan extract_runs(const global::GlobalResult& result,
              (tiles[i].tx == tiles[i + 1].tx) == vertical)
         ++i;
       GlobalRun run;
-      run.net = path.net;
+      run.net = subnets[p].net;
       run.path_index = p;
       run.dir = vertical ? Orientation::kVertical : Orientation::kHorizontal;
       if (vertical) {
@@ -66,6 +66,13 @@ RoutePlan extract_runs(const global::GlobalResult& result,
     }
   }
   return plan;
+}
+
+void copy_assignment(const GlobalRun& from, GlobalRun& to) {
+  to.layer = from.layer;
+  to.pieces = from.pieces;
+  to.ripped = from.ripped;
+  to.bad_ends = from.bad_ends;
 }
 
 std::vector<std::size_t> runs_in_column_panel(const RoutePlan& plan, int tx) {

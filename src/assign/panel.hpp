@@ -51,10 +51,18 @@ struct RoutePlan {
 };
 
 /// Split every routed TilePath into maximal straight runs and derive the
-/// end-continuation annotations. Single-tile paths produce no runs (they are
-/// routed purely by the detailed router).
-[[nodiscard]] RoutePlan extract_runs(const global::GlobalResult& result,
-                                     const grid::RoutingGrid& grid);
+/// end-continuation annotations; each run's net is its subnet's
+/// (`subnets` is parallel to result.paths). Single-tile paths produce no
+/// runs (they are routed purely by the detailed router). The extraction
+/// fields of a plan are always exactly this function of the paths; only
+/// the assignment fields are the assignment stages' own.
+[[nodiscard]] RoutePlan extract_runs(
+    const global::GlobalResult& result,
+    const std::vector<netlist::Subnet>& subnets);
+
+/// Copy the assignment fields (layer, pieces, ripped, bad_ends) of `from`
+/// onto `to`, a run extracted from the same path segment.
+void copy_assignment(const GlobalRun& from, GlobalRun& to);
 
 /// Indices of the vertical runs in column panel `tx` (any layer).
 [[nodiscard]] std::vector<std::size_t> runs_in_column_panel(

@@ -27,11 +27,9 @@ enum class Stage {
 /// Push-style progress interface for StitchAwareRouter: callers (the CLI, a
 /// service wrapper) register one observer instead of polling the router.
 ///
-/// Callbacks fire on the thread that calls StitchAwareRouter::run().
-/// should_cancel() is polled at stage boundaries and between global-routing
-/// net batches; returning true makes the router stop scheduling further
-/// work and return a partial RoutingResult with `cancelled` set. All
-/// default implementations are no-ops, so observers override only what
+/// Callbacks fire on the thread that calls StitchAwareRouter::run(). A run
+/// is stopped through its exec::Cancellation token, never by an observer.
+/// All default implementations are no-ops, so observers override only what
 /// they need.
 class ProgressObserver {
  public:
@@ -43,8 +41,6 @@ class ProgressObserver {
   /// Subnets with a committed global route so far (fires per net batch
   /// during the global stage).
   virtual void on_nets_routed(std::size_t /*routed*/, std::size_t /*total*/) {}
-  /// Return true to cancel the run at the next check point.
-  [[nodiscard]] virtual bool should_cancel() { return false; }
 };
 
 }  // namespace mebl::core

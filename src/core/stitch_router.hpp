@@ -44,11 +44,11 @@ struct RoutingResult {
   /// heuristic (reported as NA in the Table VII harness).
   bool ilp_budget_exceeded = false;
 
-  /// Set when a ProgressObserver cancelled the run; the stages that did not
-  /// run leave their artifacts empty.
+  /// Set when the run's cancellation token stopped it; the stages that did
+  /// not run leave their artifacts empty.
   bool cancelled = false;
 
-  /// Why the run stopped early: kUser for an observer / external cancel,
+  /// Why the run stopped early: kUser for an external cancel,
   /// kDeadline when the cancellation token's deadline passed, kNone for a
   /// run that completed. Server timeouts and client cancels both surface as
   /// cancelled == true but are distinguishable here.
@@ -75,10 +75,10 @@ struct RoutingResult {
 class RoutingResult::Recorder {
  public:
   /// Clears `result.stages` and snapshots the counters for the whole-run
-  /// delta. `observers` see every stage's begin and end; `cancel` names the
-  /// stop reason of a cancelled run. The observers and `cancel` must
-  /// outlive the recorder.
-  Recorder(RoutingResult& result, std::vector<ProgressObserver*> observers,
+  /// delta. `observer` (may be null) sees every stage's begin and end;
+  /// `cancel` names the stop reason of a cancelled run. The observer and
+  /// `cancel` must outlive the recorder.
+  Recorder(RoutingResult& result, ProgressObserver* observer,
            const exec::Cancellation& cancel);
 
   /// Fire the begin event, run `body`, append the stage's record, then
@@ -92,7 +92,7 @@ class RoutingResult::Recorder {
 
  private:
   RoutingResult* result_;
-  std::vector<ProgressObserver*> observers_;
+  ProgressObserver* observer_;
   const exec::Cancellation* cancel_;
   telemetry::StatsSnapshot before_;
 };
@@ -112,20 +112,10 @@ class StitchAwareRouter {
                     const netlist::Netlist& netlist,
                     RouterConfig config = RouterConfig::stitch_aware());
 
-  /// Replace the observer list with this single observer (stage boundaries,
-  /// nets routed, cancellation). Pass nullptr to detach all. The pointer
-  /// must outlive run().
+  /// Attach the observer of stage boundaries and nets routed. Pass nullptr
+  /// to detach it. The pointer must outlive run().
   StitchAwareRouter& set_observer(ProgressObserver* observer) {
-    observers_.clear();
-    if (observer != nullptr) observers_.push_back(observer);
-    return *this;
-  }
-
-  /// Append an observer; every registered observer sees every callback, so
-  /// progress display and report building compose on one run. Cancellation
-  /// is requested when ANY observer's should_cancel() returns true.
-  StitchAwareRouter& add_observer(ProgressObserver* observer) {
-    if (observer != nullptr) observers_.push_back(observer);
+    observer_ = observer;
     return *this;
   }
 
@@ -140,7 +130,7 @@ class StitchAwareRouter {
   /// Use this externally-owned cancellation token so callers on other
   /// threads can stop the run (with a reason and/or deadline). The token
   /// must outlive run(); pass nullptr to revert to an internal token that
-  /// only observers can trip.
+  /// nothing trips.
   StitchAwareRouter& set_cancellation(exec::Cancellation* cancel) {
     cancel_ = cancel;
     return *this;
@@ -153,7 +143,7 @@ class StitchAwareRouter {
   const grid::RoutingGrid* grid_;
   const netlist::Netlist* netlist_;
   RouterConfig config_;
-  std::vector<ProgressObserver*> observers_;
+  ProgressObserver* observer_ = nullptr;
   exec::ThreadPool* pool_ = nullptr;
   exec::Cancellation* cancel_ = nullptr;
 };

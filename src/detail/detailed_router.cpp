@@ -199,12 +199,12 @@ bool leg_end_is_bad(Coord end_x, Coord from_x, const grid::StitchPlan& stitch) {
 /// abort the realization (the A* fallback's cost model avoids them).
 class LegBuilder {
  public:
-  LegBuilder(const GridGraph& grid, netlist::NetId net, Point pin_a,
-             Point pin_b, bool check_bad_ends)
+  LegBuilder(const GridGraph& grid, netlist::NetId net, Point a, Point b,
+             bool check_bad_ends)
       : grid_(&grid),
         net_(net),
-        pin_a_(pin_a),
-        pin_b_(pin_b),
+        pin_a_(a),
+        pin_b_(b),
         check_bad_ends_(check_bad_ends) {}
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
@@ -495,25 +495,23 @@ DetailedRouter::Attempt DetailedRouter::compute_first_attempt(
 
 void DetailedRouter::commit_attempt(std::size_t idx, Attempt&& attempt) {
   assert(attempt.kind != Attempt::Kind::kNone);
+  // A routed subnet is one with nodes (DetailedResult::subnet_nodes).
+  assert(!attempt.nodes.empty());
   const netlist::NetId net = (*subnets_)[idx].net;
   for (const Point3 p : attempt.nodes) grid_->claim(p, net);
   result_->subnet_nodes[idx] = std::move(attempt.nodes);
-  result_->subnet_routed[idx] = true;
   namespace keys = telemetry::keys;
   switch (attempt.kind) {
     case Attempt::Kind::kRealized:
       result_->subnet_method[idx] = RouteMethod::kRealized;
-      ++result_->planned_realized;
       detail_counter<keys::kSubnetsRealized>().add(1);
       break;
     case Attempt::Kind::kPattern:
       result_->subnet_method[idx] = RouteMethod::kSearch;
-      ++result_->pattern_routed;
       detail_counter<keys::kSubnetsPattern>().add(1);
       break;
     default:
       result_->subnet_method[idx] = RouteMethod::kSearch;
-      ++result_->astar_routed;
       detail_counter<keys::kSubnetsAstar>().add(1);
       break;
   }
@@ -532,7 +530,6 @@ bool DetailedRouter::route_subnet_escalated(std::size_t idx) {
       return true;
     }
   }
-  result_->subnet_routed[idx] = false;
   return false;
 }
 
@@ -631,14 +628,9 @@ std::vector<std::size_t> DetailedRouter::rip_net(netlist::NetId net) {
   std::vector<std::size_t> ripped;
   for (const std::size_t idx :
        subnets_of_net_[static_cast<std::size_t>(net)]) {
-    if (!result_->subnet_routed[idx] && result_->subnet_nodes[idx].empty()) {
-      ripped.push_back(idx);  // failed subnet: nothing to release
-      continue;
-    }
     for (const Point3 p : result_->subnet_nodes[idx])
       if (!pin_nodes_.test(grid_->index(p))) grid_->release(p);
     result_->subnet_nodes[idx].clear();
-    result_->subnet_routed[idx] = false;
     ripped.push_back(idx);
   }
   return ripped;
@@ -666,12 +658,13 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
   for (int round = 0; round < kRipupMaxRounds; ++round) {
     std::vector<std::size_t> failed;
     for (std::size_t i = 0; i < subnets.size(); ++i)
-      if (!result_->subnet_routed[i]) failed.push_back(i);
+      if (result_->subnet_nodes[i].empty()) failed.push_back(i);
     if (failed.empty()) break;
 
     bool progress = false;
     for (const std::size_t idx : failed) {
-      if (result_->subnet_routed[idx]) continue;  // rescued as a rip victim
+      if (!result_->subnet_nodes[idx].empty())
+        continue;  // rescued as a rip victim
       const auto& subnet = subnets[idx];
       const Rect box = probe_box(idx);
       ProbeMemo& memo = probe_memo_[idx];
@@ -709,9 +702,7 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
       }
       for (const Point3 p : path) grid_->claim(p, subnet.net);
       result_->subnet_nodes[idx] = std::move(path);
-      result_->subnet_routed[idx] = true;
       result_->subnet_method[idx] = RouteMethod::kSearch;
-      ++result_->ripup_rescued;
       rescued.add(1);
       victims_count.add(static_cast<std::int64_t>(victims.size()));
       progress = true;
@@ -745,7 +736,6 @@ std::vector<DetailedRouter::SubnetKey> DetailedRouter::sp_key(
     SubnetKey& entry = key.emplace_back();
     entry.a = subnet.a;
     entry.b = subnet.b;
-    entry.routed = result_->subnet_routed[idx];
     entry.method = result_->subnet_method[idx];
     entry.nodes = result_->subnet_nodes[idx];
     if (idx < plan_->runs_of_path.size())
@@ -799,16 +789,17 @@ bool DetailedRouter::reroute_offender(netlist::NetId net,
   route_batches(victims, /*realized_only=*/true, pool, nullptr, {});
   const bool ok =
       std::all_of(victims.begin(), victims.end(),
-                  [&](std::size_t idx) { return result_->subnet_routed[idx]; });
+                  [&](std::size_t idx) {
+                    return !result_->subnet_nodes[idx].empty();
+                  });
   if (!ok) {
     // Restore the original geometry and bookkeeping.
     rip_net(net);
     for (std::size_t k = 0; k < mine.size(); ++k) {
-      if (!before[k].routed) continue;
+      if (before[k].nodes.empty()) continue;
       const std::size_t idx = mine[k];
       for (const Point3 p : before[k].nodes) grid_->claim(p, net);
       result_->subnet_nodes[idx] = before[k].nodes;
-      result_->subnet_routed[idx] = true;
       result_->subnet_method[idx] = before[k].method;
     }
   }
@@ -818,15 +809,13 @@ bool DetailedRouter::reroute_offender(netlist::NetId net,
   bool method_changed = false;
   for (std::size_t k = 0; k < mine.size(); ++k) {
     const std::size_t idx = mine[k];
-    geometry_changed = geometry_changed ||
-                       before[k].routed != result_->subnet_routed[idx] ||
-                       before[k].nodes != result_->subnet_nodes[idx];
+    geometry_changed =
+        geometry_changed || before[k].nodes != result_->subnet_nodes[idx];
     method_changed =
         method_changed || before[k].method != result_->subnet_method[idx];
   }
   namespace keys = telemetry::keys;
   if (geometry_changed) {
-    ++result_->sp_cleanup_nets;
     detail_counter<keys::kSpCleanupNets>().add(1);
   } else {
     detail_counter<keys::kSpCleanupNoopReroutes>().add(1);
@@ -908,7 +897,6 @@ void DetailedRouter::restore(const std::vector<netlist::Subnet>& subnets,
                              const assign::RoutePlan& plan,
                              DetailedResult& result) {
   bind(subnets, plan, result);
-  result.subnet_routed.resize(subnets.size(), false);
   result.subnet_nodes.resize(subnets.size());
   result.subnet_method.resize(subnets.size(), RouteMethod::kNone);
   // Re-claim the committed geometry. Claims are idempotent per net, so a
@@ -991,11 +979,6 @@ void DetailedRouter::repair(exec::ThreadPool* pool,
     timed_phase(keys::kDetailPhaseSpCleanupNs,
                 [&] { cleanup_short_polygons(pool); });
   }
-  result_->routed = std::count(result_->subnet_routed.begin(),
-                               result_->subnet_routed.end(), true);
-  result_->failed =
-      static_cast<std::int64_t>(subnets_->size()) - result_->routed;
-
   // Storage telemetry (execution-dependent by prefix; see keys.hpp).
   const auto record = [](const char* key, std::size_t value) {
     telemetry::counter(key).add(static_cast<std::int64_t>(value));
@@ -1013,7 +996,6 @@ DetailedResult DetailedRouter::route_all(
     const ProgressFn& progress) {
   TELEMETRY_SPAN("detail.route_all");
   DetailedResult result;
-  result.subnet_routed.assign(subnets.size(), false);
   result.subnet_nodes.assign(subnets.size(), {});
   result.subnet_method.assign(subnets.size(), RouteMethod::kNone);
   bind(subnets, plan, result);
@@ -1022,13 +1004,13 @@ DetailedResult DetailedRouter::route_all(
             cancel, progress);
   repair(pool, cancel, /*incremental=*/false);
 
-  telemetry::counter(telemetry::keys::kSubnetsFailed).add(result.failed);
-  util::log_info() << "detailed routing: " << result.routed << "/"
-                   << subnets.size() << " subnets (realized "
-                   << result.planned_realized << ", A* "
-                   << result.astar_routed << ", rescued "
-                   << result.ripup_rescued << ", SP-cleaned nets "
-                   << result.sp_cleanup_nets << ")";
+  const auto failed = std::count_if(
+      result.subnet_nodes.begin(), result.subnet_nodes.end(),
+      [](const std::vector<Point3>& nodes) { return nodes.empty(); });
+  telemetry::counter(telemetry::keys::kSubnetsFailed).add(failed);
+  util::log_info() << "detailed routing: "
+                   << static_cast<std::int64_t>(subnets.size()) - failed
+                   << "/" << subnets.size() << " subnets";
   return result;
 }
 

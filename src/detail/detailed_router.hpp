@@ -34,28 +34,18 @@ struct DetailedConfig {
 /// pattern probe, the A* search, or a rescue.
 enum class RouteMethod : std::uint8_t { kNone, kRealized, kSearch };
 
-/// Per-stage statistics of a detailed-routing run, plus the per-subnet
-/// geometry itself — the state a resident design needs to rip up and
-/// reroute nets incrementally (and what routed-state serialization saves).
+/// The per-subnet geometry of a detailed-routing run — the state a resident
+/// design needs to rip up and reroute nets incrementally (and what
+/// routed-state serialization saves). How the subnets got routed is counted
+/// by the `detail.subnets.*`, `detail.ripup.rescued` and
+/// `detail.sp_cleanup.nets` counters (telemetry/keys.hpp).
 struct DetailedResult {
-  std::vector<bool> subnet_routed;
-  /// Committed grid nodes per subnet (empty when unrouted).
+  /// Committed grid nodes per subnet. A subnet is routed exactly when its
+  /// list is non-empty: a committed path always holds at least one node.
   std::vector<std::vector<geom::Point3>> subnet_nodes;
   /// Per-subnet provenance; the short-polygon cleanup only reroutes
   /// search-routed geometry.
   std::vector<RouteMethod> subnet_method;
-  std::int64_t routed = 0;
-  std::int64_t failed = 0;
-  /// Subnets realized directly from their layer/track assignment.
-  std::int64_t planned_realized = 0;
-  /// Subnets routed by the cheap L-shape pattern probe.
-  std::int64_t pattern_routed = 0;
-  /// Subnets that needed the A* search (no plan, ripped runs, or conflicts).
-  std::int64_t astar_routed = 0;
-  /// Subnets rescued (or re-routed) by the rip-up pass.
-  std::int64_t ripup_rescued = 0;
-  /// Short-polygon cleanup reroutes that changed the net's geometry.
-  std::int64_t sp_cleanup_nets = 0;
 };
 
 /// Second-pass detailed router: realizes each subnet's assigned segments as
@@ -130,7 +120,7 @@ class DetailedRouter {
   /// subnets through the ordinary deterministic main pass (the full
   /// stitch-aware order filtered to the ripped set), then run the rescue
   /// and short-polygon cleanup passes. Requires a prior restore(). Updates
-  /// the bound result's routed/failed totals in place.
+  /// the bound result's geometry in place.
   void reroute_nets(const std::vector<netlist::NetId>& nets,
                     exec::ThreadPool* pool = nullptr,
                     const exec::Cancellation* cancel = nullptr,
@@ -192,12 +182,12 @@ class DetailedRouter {
                  const exec::Cancellation* cancel, const ProgressFn& progress);
 
   /// The tail shared by route_all and reroute_nets after the main pass:
-  /// (unless cancelled) rescue and short-polygon cleanup, then the bound
-  /// result's routed/failed totals. `incremental` as for rescue_failed.
+  /// (unless cancelled) rescue and short-polygon cleanup, then the storage
+  /// counters. `incremental` as for rescue_failed.
   void repair(exec::ThreadPool* pool, const exec::Cancellation* cancel,
               bool incremental);
 
-  /// Release all geometry of `net` (sparing pin reservations) and mark its
+  /// Release all geometry of `net` (sparing pin reservations), leaving its
   /// subnets unrouted. Returns the ripped subnet indices.
   std::vector<std::size_t> rip_net(netlist::NetId net);
 
@@ -211,8 +201,7 @@ class DetailedRouter {
   void cleanup_short_polygons(exec::ThreadPool* pool);
 
   /// Rip and reroute one short-polygon offender (restoring it when a subnet
-  /// fails). Returns whether the net's geometry, routed flags or methods
-  /// changed; counts the reroute as cleaned or as a no-op, and memoizes a
+  /// fails). Returns whether the net's geometry or methods changed; counts the reroute as cleaned or as a no-op, and memoizes a
   /// reroute that changed nothing.
   bool reroute_offender(netlist::NetId net, exec::ThreadPool* pool);
 
@@ -233,7 +222,6 @@ class DetailedRouter {
   struct SubnetKey {
     geom::Point a;
     geom::Point b;
-    bool routed;
     RouteMethod method;
     std::vector<RunKey> runs;
     std::vector<geom::Point3> nodes;

@@ -49,7 +49,7 @@ RouteMetrics compute_metrics(const detail::GridGraph& grid,
   metrics.total_nets = static_cast<int>(netlist.num_nets());
   std::vector<bool> net_ok(netlist.num_nets(), true);
   for (std::size_t i = 0; i < subnets.size(); ++i)
-    if (i < outcome.subnet_routed.size() && !outcome.subnet_routed[i])
+    if (i < outcome.subnet_nodes.size() && outcome.subnet_nodes[i].empty())
       net_ok[static_cast<std::size_t>(subnets[i].net)] = false;
   metrics.routed_nets =
       static_cast<int>(std::count(net_ok.begin(), net_ok.end(), true));

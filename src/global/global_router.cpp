@@ -295,7 +295,7 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
       gathered.clear();
       while (cursor < result.paths.size() && gathered.size() < batch) {
         const TilePath& path = result.paths[cursor];
-        if (path.routed && congestion_.congested(cursor))
+        if (!path.tiles.empty() && congestion_.congested(cursor))
           gathered.push_back(cursor);
         ++cursor;
       }
@@ -338,7 +338,7 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
 void GlobalRouter::finalize_totals(GlobalResult& result) const {
   result.wirelength = 0;
   for (const auto& path : result.paths)
-    if (path.routed)
+    if (!path.tiles.empty())
       result.wirelength += static_cast<std::int64_t>(path.tiles.size()) - 1;
   result.total_vertex_overflow = graph_.total_vertex_overflow();
   result.max_vertex_overflow = graph_.max_vertex_overflow();
@@ -397,9 +397,6 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
         const std::size_t idx = bucket[i];
         const auto& subnet = subnets[idx];
         TilePath& path = result.paths[idx];
-        path.net = subnet.net;
-        path.pin_a = subnet.a;
-        path.pin_b = subnet.b;
         const GCellId from{grid_->tile_of_x(subnet.a.x),
                            grid_->tile_of_y(subnet.a.y)};
         const GCellId to{grid_->tile_of_x(subnet.b.x),
@@ -427,12 +424,11 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
         }
         if (path.tiles.empty())
           path.tiles = search(from, to, full, kVertexCostWeight);
-        path.routed = !path.tiles.empty();
       });
       // Batch barrier: merge the batch's demands in index order.
       for (std::size_t i = lo; i < hi; ++i) {
         const TilePath& path = result.paths[bucket[i]];
-        if (path.routed) {
+        if (!path.tiles.empty()) {
           commit(bucket[i], path, +1);
           ++committed;
         }
@@ -455,7 +451,7 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
   return result;
 }
 
-void GlobalRouter::seed(const GlobalResult& result) {
+void GlobalRouter::seed(GlobalResult& result) {
   TELEMETRY_SPAN("global.seed");
   // Fresh capacities, then replay every committed path in index order. The
   // demand state (and the psi memo it feeds) afterwards is exactly what a
@@ -464,8 +460,9 @@ void GlobalRouter::seed(const GlobalResult& result) {
   graph_ = RoutingGraph(*grid_, config_.stitch_aware_capacity);
   congestion_.reset(graph_, result.paths.size(), config_.vertex_cost);
   for (std::size_t idx = 0; idx < result.paths.size(); ++idx)
-    if (result.paths[idx].routed)
+    if (!result.paths[idx].tiles.empty())
       congestion_.commit(graph_, idx, result.paths[idx].tiles, +1);
+  finalize_totals(result);
 }
 
 std::vector<std::size_t> GlobalRouter::rip_dirty_closure(
@@ -475,7 +472,7 @@ std::vector<std::size_t> GlobalRouter::rip_dirty_closure(
   for (const std::size_t idx : targets) {
     if (idx >= result.paths.size() || in_closure[idx] != 0) continue;
     in_closure[idx] = 1;
-    if (result.paths[idx].routed) commit(idx, result.paths[idx], -1);
+    if (!result.paths[idx].tiles.empty()) commit(idx, result.paths[idx], -1);
   }
   // One ascending scan: ripping the targets only lowered demand, so any
   // subnet still congested now stays congested until *it* is ripped —
@@ -488,7 +485,7 @@ std::vector<std::size_t> GlobalRouter::rip_dirty_closure(
       closure.push_back(idx);
       continue;
     }
-    if (result.paths[idx].routed && congestion_.congested(idx)) {
+    if (!result.paths[idx].tiles.empty() && congestion_.congested(idx)) {
       in_closure[idx] = 1;
       commit(idx, result.paths[idx], -1);
       closure.push_back(idx);
@@ -521,9 +518,6 @@ void GlobalRouter::reroute_subset(const std::vector<netlist::Subnet>& subnets,
       const std::size_t idx = dirty[i];
       const auto& subnet = subnets[idx];
       TilePath& path = result.paths[idx];
-      path.net = subnet.net;
-      path.pin_a = subnet.a;
-      path.pin_b = subnet.b;
       const GCellId from{grid_->tile_of_x(subnet.a.x),
                          grid_->tile_of_y(subnet.a.y)};
       const GCellId to{grid_->tile_of_x(subnet.b.x),
@@ -535,10 +529,9 @@ void GlobalRouter::reroute_subset(const std::vector<netlist::Subnet>& subnets,
       path.tiles = search(from, to, region, kVertexCostWeight);
       if (path.tiles.empty())
         path.tiles = search(from, to, full, kVertexCostWeight);
-      path.routed = !path.tiles.empty();
     });
     for (std::size_t i = lo; i < hi; ++i)
-      if (result.paths[dirty[i]].routed)
+      if (!result.paths[dirty[i]].tiles.empty())
         commit(dirty[i], result.paths[dirty[i]], +1);
   }
   run_reroute_passes(result, pool, cancel);

@@ -44,13 +44,11 @@ struct GlobalRouterConfig {
 };
 
 /// Global route of one 2-pin subnet: a 4-connected GCell path from the tile
-/// of pin_a to the tile of pin_b (single tile when both pins share one).
+/// of the subnet's pin `a` to the tile of its pin `b` (single tile when both
+/// pins share one). The path is routed exactly when `tiles` is non-empty;
+/// its net and pins are the subnet's, at the same index.
 struct TilePath {
-  netlist::NetId net = -1;
-  geom::Point pin_a;
-  geom::Point pin_b;
   std::vector<grid::GCellId> tiles;
-  bool routed = false;
 };
 
 /// Aggregate result of the global-routing stage.
@@ -161,9 +159,10 @@ class GlobalRouter {
   // because both read identical demand and the schedules are index-ordered.
 
   /// Rebuild the demand state from a previously-routed result: fresh graph,
-  /// then commit every routed path in index order. After this the router is
+  /// then commit every routed path in index order, and recompute `result`'s
+  /// wirelength and overflow totals from it. After this the router is
   /// resident for `result` and ready for rip_dirty_closure().
-  void seed(const GlobalResult& result);
+  void seed(GlobalResult& result);
 
   /// Rip up the targets and return the dirty closure in ascending index
   /// order: the targets plus every committed subnet still crossing an

@@ -57,6 +57,10 @@ const MetricSpec kSpecs[] = {
     // memo's skip count and the stream's final quality are pure functions
     // of the stream, so any change either way means the routing changed.
     {"memo_skips", Direction::kExact, {}},
+    // The ECO rows' batch size and global dirty closure: a change means the
+    // ECO rerouted a different set of subnets.
+    {"batch_nets", Direction::kExact, {}},
+    {"dirty_subnets", Direction::kExact, {}},
     {"final_short_polygons", Direction::kExact, {}},
     {"final_via_violations", Direction::kExact, {}},
     {"final_vias", Direction::kExact, {}},

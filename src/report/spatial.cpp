@@ -69,7 +69,7 @@ std::vector<NetAudit> collect_net_audits(
   }
 
   for (std::size_t i = 0; i < subnets.size(); ++i)
-    if (i < outcome.subnet_routed.size() && !outcome.subnet_routed[i])
+    if (i < outcome.subnet_nodes.size() && outcome.subnet_nodes[i].empty())
       audits[static_cast<std::size_t>(subnets[i].net)].routed = false;
 
   for (const assign::GlobalRun& run : plan.runs) {

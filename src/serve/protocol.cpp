@@ -179,13 +179,6 @@ std::optional<Request> parse_request(const Json& json) {
     for (const Json& item : names->items())
       if (item.kind() == Json::Kind::kString)
         request.net_names.push_back(item.as_string());
-  // Legacy single-move keys from older clients: the first move.
-  if (const auto pin =
-          static_cast<netlist::PinId>(get_int(json, "move_pin", -1));
-      pin >= 0)
-    request.moves.push_back(
-        {pin, {static_cast<geom::Coord>(get_int(json, "move_to_x")),
-               static_cast<geom::Coord>(get_int(json, "move_to_y"))}});
   if (const Json* moves = json.get("moves");
       moves != nullptr && moves->kind() == Json::Kind::kArray)
     for (const Json& item : moves->items()) {

@@ -78,9 +78,8 @@ struct Request {
   std::vector<netlist::NetId> nets;
   std::vector<std::string> net_names;
   /// kEco: pin moves, applied in order. The coalescing dispatcher unions
-  /// the moves of batched ECO requests here. decode_request also accepts
-  /// the legacy single-move keys of older clients and turns them into the
-  /// first move; encode emits only `moves`.
+  /// the moves of batched ECO requests here. On the wire they are the
+  /// `moves` list of {pin, x, y} objects.
   std::vector<PinMoveSpec> moves;
   /// kEco: run the bit-identity check — replay the same ECO on a resident
   /// rebuilt from the serialized pre-ECO state and compare canonical

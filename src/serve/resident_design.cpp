@@ -62,17 +62,13 @@ std::unique_ptr<ResidentDesign> ResidentDesign::from_state(
   resident->result_.global = std::move(loaded->state.global);
   resident->result_.plan = std::move(loaded->state.plan);
   resident->result_.detail = std::move(loaded->state.detail);
-  resident->subnets_ = netlist::decompose_all(resident->design_.netlist);
-
+  // read_routed_state sized the paths and the geometry to the design's
+  // subnets, which the constructor decomposed into resident->subnets_.
   const auto& detail = resident->result_.detail;
-  if (detail.subnet_nodes.size() != resident->subnets_.size() ||
-      resident->result_.global.paths.size() != resident->subnets_.size()) {
-    util::log_warn() << "from_state: subnet count mismatch";
-    return nullptr;
-  }
 
-  // Reseed the global demand from the paths; the saved arrays are the
-  // integrity check that the paths and the demand agree.
+  // Reseed the global demand (and the global totals) from the paths; the
+  // saved arrays are the integrity check that the paths and the demand
+  // agree.
   resident->global_ = std::make_unique<global::GlobalRouter>(
       resident->design_.grid, resident->config_.global);
   resident->global_->seed(resident->result_.global);
@@ -88,7 +84,9 @@ std::unique_ptr<ResidentDesign> ResidentDesign::from_state(
   resident->detailed_->claim_pins(resident->design_.netlist);
 
   // Reject geometry the grid cannot carry (out of bounds or conflicting
-  // claims) before restore() asserts on it.
+  // claims) before restore() asserts on it. Each checked node is claimed
+  // at once, so two nets saved on one node conflict too; restore() then
+  // re-claims the same nodes in the same order, a no-op.
   const auto& rg = resident->design_.grid;
   for (std::size_t i = 0; i < resident->subnets_.size(); ++i)
     for (const Point3 p : detail.subnet_nodes[i]) {
@@ -97,10 +95,12 @@ std::unique_ptr<ResidentDesign> ResidentDesign::from_state(
         util::log_warn() << "from_state: node out of bounds";
         return nullptr;
       }
-      if (!resident->result_.grid->is_free_or(p, resident->subnets_[i].net)) {
+      const netlist::NetId net = resident->subnets_[i].net;
+      if (!resident->result_.grid->is_free_or(p, net)) {
         util::log_warn() << "from_state: conflicting geometry claims";
         return nullptr;
       }
+      resident->result_.grid->claim(p, net);
     }
   resident->detailed_->restore(resident->subnets_, resident->result_.plan,
                                resident->result_.detail);
@@ -261,9 +261,9 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
 
   exec::Cancellation local_cancel;
   exec::Cancellation& stop = cancel != nullptr ? *cancel : local_cancel;
-  // The ECO records the batch route's five stages (no observers: an ECO
+  // The ECO records the batch route's five stages (no observer: an ECO
   // streams no progress events).
-  core::RoutingResult::Recorder recorder(result_, {}, stop);
+  core::RoutingResult::Recorder recorder(result_, nullptr, stop);
   util::Timer timer;
 
   // --- apply the pin moves to the netlist and the subnet list --------------
@@ -332,7 +332,7 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
       std::vector<std::uint8_t> changed(result_.global.paths.size(), 0);
       for (const std::size_t idx : closure) changed[idx] = 1;
       const assign::RoutePlan old_plan = std::move(result_.plan);
-      plan = assign::extract_runs(result_.global, design_.grid);
+      plan = assign::extract_runs(result_.global, subnets_);
 
       // Unchanged paths produce identical runs, positionally; carry their
       // layer/track assignment over so only dirty panels replan.
@@ -342,14 +342,9 @@ EcoOutcome ResidentDesign::eco(const EcoRequest& request,
         const auto& old_runs = old_plan.runs_of_path[p];
         const auto& new_runs = plan.runs_of_path[p];
         if (old_runs.size() != new_runs.size()) continue;
-        for (std::size_t j = 0; j < new_runs.size(); ++j) {
-          const assign::GlobalRun& src = old_plan.runs[old_runs[j]];
-          assign::GlobalRun& dst = plan.runs[new_runs[j]];
-          dst.layer = src.layer;
-          dst.pieces = src.pieces;
-          dst.ripped = src.ripped;
-          dst.bad_ends = src.bad_ends;
-        }
+        for (std::size_t j = 0; j < new_runs.size(); ++j)
+          assign::copy_assignment(old_plan.runs[old_runs[j]],
+                                  plan.runs[new_runs[j]]);
       }
 
       // Dirty panels: every panel holding a run of a changed path, in the

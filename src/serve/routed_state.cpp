@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "netlist/decompose.hpp"
 #include "util/log.hpp"
 
 namespace mebl::serve {
@@ -70,7 +71,7 @@ std::optional<std::vector<int>> read_demand(std::istream& in,
 
 void write_routed_state(std::ostream& out, const RoutedState& state,
                         const global::RoutingGraph& graph) {
-  out << "mebl_routed 1\n";
+  out << "mebl_routed 2\n";
 
   std::ostringstream design_text;
   netlist::write_design(design_text, state.design);
@@ -79,9 +80,7 @@ void write_routed_state(std::ostream& out, const RoutedState& state,
 
   out << "paths " << state.global.paths.size() << '\n';
   for (const global::TilePath& path : state.global.paths) {
-    out << "p " << path.net << ' ' << path.pin_a.x << ' ' << path.pin_a.y
-        << ' ' << path.pin_b.x << ' ' << path.pin_b.y << ' '
-        << (path.routed ? 1 : 0) << ' ' << path.tiles.size();
+    out << "p " << path.tiles.size();
     for (const grid::GCellId tile : path.tiles)
       out << ' ' << tile.tx << ' ' << tile.ty;
     out << '\n';
@@ -89,44 +88,22 @@ void write_routed_state(std::ostream& out, const RoutedState& state,
 
   out << "runs " << state.plan.runs.size() << '\n';
   for (const assign::GlobalRun& run : state.plan.runs) {
-    out << "r " << run.net << ' ' << run.path_index << ' '
-        << (run.dir == geom::Orientation::kVertical ? 'V' : 'H') << ' '
-        << run.fixed_tile << ' ' << run.span.lo << ' ' << run.span.hi << ' '
-        << run.lo_continuation << ' ' << run.hi_continuation << ' '
-        << run.layer << ' ' << (run.ripped ? 1 : 0) << ' ' << run.bad_ends
-        << ' ' << run.pieces.size();
+    out << "r " << run.layer << ' ' << (run.ripped ? 1 : 0) << ' '
+        << run.bad_ends << ' ' << run.pieces.size();
     for (const auto& [span, track] : run.pieces)
       out << ' ' << span.lo << ' ' << span.hi << ' ' << track;
-    out << '\n';
-  }
-
-  out << "path_runs " << state.plan.runs_of_path.size() << '\n';
-  for (const std::vector<std::size_t>& runs : state.plan.runs_of_path) {
-    out << "q " << runs.size();
-    for (const std::size_t run : runs) out << ' ' << run;
     out << '\n';
   }
 
   out << "subnets " << state.detail.subnet_nodes.size() << '\n';
   for (std::size_t i = 0; i < state.detail.subnet_nodes.size(); ++i) {
     const auto& nodes = state.detail.subnet_nodes[i];
-    out << "s " << (state.detail.subnet_routed[i] ? 1 : 0) << ' '
-        << static_cast<int>(state.detail.subnet_method[i]) << ' '
+    out << "s " << static_cast<int>(state.detail.subnet_method[i]) << ' '
         << nodes.size();
     for (const geom::Point3 p : nodes)
       out << ' ' << p.x << ' ' << p.y << ' ' << p.layer;
     out << '\n';
   }
-
-  out << "detail_totals " << state.detail.routed << ' ' << state.detail.failed
-      << ' ' << state.detail.planned_realized << ' '
-      << state.detail.pattern_routed << ' ' << state.detail.astar_routed << ' '
-      << state.detail.ripup_rescued << ' ' << state.detail.sp_cleanup_nets
-      << '\n';
-  out << "global_totals " << state.global.wirelength << ' '
-      << state.global.total_vertex_overflow << ' '
-      << state.global.max_vertex_overflow << ' '
-      << state.global.total_edge_overflow << '\n';
 
   write_demand(out, "demand_h", collect_h_demand(graph));
   write_demand(out, "demand_v", collect_v_demand(graph));
@@ -142,7 +119,7 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
 
   std::string word;
   int version = 0;
-  if (!(in >> word >> version) || word != "mebl_routed" || version != 1)
+  if (!(in >> word >> version) || word != "mebl_routed" || version != 2)
     return fail("missing or unsupported 'mebl_routed <version>' header");
 
   std::size_t design_bytes = 0;
@@ -165,6 +142,10 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
   if (!design) return fail("embedded design does not parse");
 
   LoadedState loaded{RoutedState{std::move(*design), {}, {}, {}}, {}, {}, {}};
+  // Paths, runs and geometry are parallel to the design's subnets, which
+  // also give each path its net and pins.
+  const std::vector<netlist::Subnet> subnets =
+      netlist::decompose_all(loaded.state.design.netlist);
 
   // A tile path is 4-connected inside the design's tile grid; reseeding the
   // global demand indexes its edges without further checks.
@@ -178,20 +159,22 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
            std::abs(tile.tx - prev->tx) + std::abs(tile.ty - prev->ty) == 1;
   };
 
+  const auto on_pin = [&](const grid::GCellId& tile, geom::Point pin) {
+    return tile.tx == rg.tile_of_x(pin.x) && tile.ty == rg.tile_of_y(pin.y);
+  };
+
   std::size_t count = 0;
   if (!(in >> word >> count) || word != "paths")
     return fail("malformed 'paths' record");
+  if (count != subnets.size())
+    return fail("path count differs from the design's subnet count");
   // Record counts are untrusted: every list below grows one parsed record
   // at a time instead of being pre-sized from its count.
-  for (std::size_t i = 0; i < count; ++i) {
+  for (const netlist::Subnet& subnet : subnets) {
     global::TilePath& path = loaded.state.global.paths.emplace_back();
-    int routed = 0;
     std::size_t tiles = 0;
-    if (!(in >> word >> path.net >> path.pin_a.x >> path.pin_a.y >>
-          path.pin_b.x >> path.pin_b.y >> routed >> tiles) ||
-        word != "p")
+    if (!(in >> word >> tiles) || word != "p")
       return fail("malformed 'p' record");
-    path.routed = routed != 0;
     for (std::size_t t = 0; t < tiles; ++t) {
       grid::GCellId tile;
       if (!(in >> tile.tx >> tile.ty)) return fail("truncated tile path");
@@ -199,56 +182,45 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
         return fail("tile path leaves the grid or is not 4-connected");
       path.tiles.push_back(tile);
     }
+    if (!path.tiles.empty() && (!on_pin(path.tiles.front(), subnet.a) ||
+                                !on_pin(path.tiles.back(), subnet.b)))
+      return fail("tile path does not run between its subnet's pin tiles");
   }
 
+  // The runs are a function of the paths; the file holds only what the
+  // assignment stages decided for each of them.
+  loaded.state.plan = assign::extract_runs(loaded.state.global, subnets);
   if (!(in >> word >> count) || word != "runs")
     return fail("malformed 'runs' record");
-  for (std::size_t i = 0; i < count; ++i) {
-    assign::GlobalRun& run = loaded.state.plan.runs.emplace_back();
-    char dir = 'V';
+  if (count != loaded.state.plan.runs.size())
+    return fail("assignment record count differs from the paths' runs");
+  for (assign::GlobalRun& run : loaded.state.plan.runs) {
+    assign::GlobalRun saved;
     int ripped = 0;
     std::size_t pieces = 0;
-    if (!(in >> word >> run.net >> run.path_index >> dir >> run.fixed_tile >>
-          run.span.lo >> run.span.hi >> run.lo_continuation >>
-          run.hi_continuation >> run.layer >> ripped >> run.bad_ends >>
-          pieces) ||
-        word != "r" || (dir != 'V' && dir != 'H'))
+    if (!(in >> word >> saved.layer >> ripped >> saved.bad_ends >> pieces) ||
+        word != "r")
       return fail("malformed 'r' record");
-    run.dir = dir == 'V' ? geom::Orientation::kVertical
-                         : geom::Orientation::kHorizontal;
-    run.ripped = ripped != 0;
+    saved.ripped = ripped != 0;
     for (std::size_t k = 0; k < pieces; ++k) {
-      auto& [span, track] = run.pieces.emplace_back();
+      auto& [span, track] = saved.pieces.emplace_back();
       if (!(in >> span.lo >> span.hi >> track))
         return fail("truncated piece list");
     }
-  }
-
-  if (!(in >> word >> count) || word != "path_runs")
-    return fail("malformed 'path_runs' record");
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<std::size_t>& runs =
-        loaded.state.plan.runs_of_path.emplace_back();
-    std::size_t n = 0;
-    if (!(in >> word >> n) || word != "q") return fail("malformed 'q' record");
-    for (std::size_t k = 0; k < n; ++k) {
-      std::size_t run = 0;
-      if (!(in >> run) || run >= loaded.state.plan.runs.size())
-        return fail("run index out of range");
-      runs.push_back(run);
-    }
+    assign::copy_assignment(saved, run);
   }
 
   if (!(in >> word >> count) || word != "subnets")
     return fail("malformed 'subnets' record");
+  if (count != subnets.size())
+    return fail("geometry count differs from the design's subnet count");
   auto& detail = loaded.state.detail;
   for (std::size_t i = 0; i < count; ++i) {
-    int routed = 0, method = 0;
+    int method = 0;
     std::size_t nodes = 0;
-    if (!(in >> word >> routed >> method >> nodes) || word != "s" ||
-        method < 0 || method > 2)
+    if (!(in >> word >> method >> nodes) || word != "s" || method < 0 ||
+        method > 2)
       return fail("malformed 's' record");
-    detail.subnet_routed.push_back(routed != 0);
     detail.subnet_method.push_back(static_cast<detail::RouteMethod>(method));
     std::vector<geom::Point3>& points = detail.subnet_nodes.emplace_back();
     for (std::size_t k = 0; k < nodes; ++k) {
@@ -256,18 +228,6 @@ std::optional<LoadedState> read_routed_state(std::istream& in) {
       if (!(in >> p.x >> p.y >> p.layer)) return fail("truncated node list");
     }
   }
-
-  if (!(in >> word >> detail.routed >> detail.failed >>
-        detail.planned_realized >> detail.pattern_routed >>
-        detail.astar_routed >> detail.ripup_rescued >>
-        detail.sp_cleanup_nets) ||
-      word != "detail_totals")
-    return fail("malformed 'detail_totals' record");
-  auto& global = loaded.state.global;
-  if (!(in >> word >> global.wirelength >> global.total_vertex_overflow >>
-        global.max_vertex_overflow >> global.total_edge_overflow) ||
-      word != "global_totals")
-    return fail("malformed 'global_totals' record");
 
   const auto tiles_x =
       static_cast<std::size_t>(loaded.state.design.grid.tiles_x());

@@ -12,10 +12,6 @@ namespace mebl::telemetry::keys {
 // global routing
 inline constexpr char kGlobalRerouted[] = "global.reroute.subnets";
 inline constexpr char kGlobalReroutePasses[] = "global.reroute.passes";
-inline constexpr char kGlobalWirelength[] = "global.wirelength";
-inline constexpr char kGlobalVertexOverflow[] = "global.overflow.vertex_total";
-inline constexpr char kGlobalVertexOverflowMax[] = "global.overflow.vertex_max";
-inline constexpr char kGlobalEdgeOverflow[] = "global.overflow.edge_total";
 
 // global-routing search kernel (DESIGN.md §10). Pops and pattern hits are
 // functions of the routing order and congestion state alone — never of the
@@ -74,6 +70,10 @@ inline constexpr char kSpCleanupNets[] = "detail.sp_cleanup.nets";
 inline constexpr char kSpCleanupNoopReroutes[] =
     "detail.sp_cleanup.noop_reroutes";
 inline constexpr char kSpCleanupRounds[] = "detail.sp_cleanup.rounds";
+/// Commits by method: a subnet routed again as a rescue victim or by the
+/// short-polygon cleanup counts again; the rescued subnet itself counts in
+/// ripup.rescued. `failed` counts the subnets a full route (route_all)
+/// leaves without geometry.
 inline constexpr char kSubnetsRealized[] = "detail.subnets.realized";
 inline constexpr char kSubnetsPattern[] = "detail.subnets.pattern";
 inline constexpr char kSubnetsAstar[] = "detail.subnets.astar";
@@ -122,16 +122,10 @@ inline constexpr char kDetailGuardNodes[] = "detail.storage.guard_nodes";
 inline constexpr char kDetailScratchPeakBytes[] =
     "detail.storage.astar_scratch_peak_bytes";
 
-// evaluation — the paper's quality metrics as stable counter names, recorded
-// inside the metrics stage so stage-boundary observers (report builders) see
-// them in that stage's delta and in RoutingResult::stats().
-inline constexpr char kShortPolygons[] = "eval.short_polygons";
-inline constexpr char kViaViolations[] = "eval.via_violations";
-inline constexpr char kVerticalViolations[] = "eval.vertical_violations";
-inline constexpr char kWirelength[] = "eval.wirelength";
-inline constexpr char kVias[] = "eval.vias";
-inline constexpr char kRoutedNets[] = "eval.routed_nets";
-inline constexpr char kTotalNets[] = "eval.total_nets";
+// evaluation — the quality metrics have no counters. Their one home is
+// eval::RouteMetrics (and global::GlobalResult for the global wirelength and
+// overflow totals), which the run report's quality and global blocks read,
+// for a full route and an ECO alike.
 
 // histograms
 inline constexpr char kAstarSearchNs[] = "detail.astar.search_ns";

@@ -127,9 +127,16 @@ TEST(GatherDisjointBatches, RandomSweepInvariants) {
 
 // ---------------------------------------------------------------- pipeline
 
+/// How the subnets got routed, from the detail counters of one run.
+constexpr const char* kDetailTallies[] = {
+    telemetry::keys::kSubnetsRealized, telemetry::keys::kSubnetsPattern,
+    telemetry::keys::kSubnetsAstar,    telemetry::keys::kSubnetsFailed,
+    telemetry::keys::kRipupRescued,    telemetry::keys::kSpCleanupNets};
+
 struct Fingerprint {
   eval::RouteMetrics metrics;
   detail::DetailedResult detail;
+  std::vector<std::int64_t> tallies;  ///< kDetailTallies, in order
   std::string canonical_report;
 };
 
@@ -142,6 +149,8 @@ Fingerprint route_circuit(const bench_suite::GeneratedCircuit& circuit,
   Fingerprint fp;
   fp.metrics = result.metrics;
   fp.detail = result.detail;
+  for (const char* key : kDetailTallies)
+    fp.tallies.push_back(result.stats().value(key));
   fp.canonical_report = report::serialize(
       report::build_run_report(result, circuit.grid, circuit.netlist),
       options);
@@ -157,14 +166,9 @@ void expect_identical(const Fingerprint& a, const Fingerprint& b,
       << what;
   EXPECT_EQ(a.metrics.short_polygons, b.metrics.short_polygons) << what;
   EXPECT_EQ(a.metrics.routed_nets, b.metrics.routed_nets) << what;
-  EXPECT_EQ(a.detail.routed, b.detail.routed) << what;
-  EXPECT_EQ(a.detail.failed, b.detail.failed) << what;
-  EXPECT_EQ(a.detail.planned_realized, b.detail.planned_realized) << what;
-  EXPECT_EQ(a.detail.pattern_routed, b.detail.pattern_routed) << what;
-  EXPECT_EQ(a.detail.astar_routed, b.detail.astar_routed) << what;
-  EXPECT_EQ(a.detail.ripup_rescued, b.detail.ripup_rescued) << what;
-  EXPECT_EQ(a.detail.sp_cleanup_nets, b.detail.sp_cleanup_nets) << what;
-  EXPECT_EQ(a.detail.subnet_routed, b.detail.subnet_routed) << what;
+  EXPECT_EQ(a.tallies, b.tallies) << what;
+  EXPECT_EQ(a.detail.subnet_nodes, b.detail.subnet_nodes) << what;
+  EXPECT_EQ(a.detail.subnet_method, b.detail.subnet_method) << what;
   EXPECT_EQ(a.canonical_report, b.canonical_report) << what;
 }
 
@@ -195,13 +199,9 @@ TEST_P(DetailParallelDeterminism, IdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.metrics.wirelength, sequential.metrics.wirelength);
   EXPECT_EQ(one.metrics.vias, sequential.metrics.vias);
   EXPECT_EQ(one.metrics.short_polygons, sequential.metrics.short_polygons);
-  EXPECT_EQ(one.detail.subnet_routed, sequential.detail.subnet_routed);
-  EXPECT_EQ(one.detail.planned_realized, sequential.detail.planned_realized);
-  EXPECT_EQ(one.detail.astar_routed, sequential.detail.astar_routed);
   EXPECT_EQ(one.detail.subnet_nodes, sequential.detail.subnet_nodes);
   EXPECT_EQ(one.detail.subnet_method, sequential.detail.subnet_method);
-  EXPECT_EQ(one.detail.ripup_rescued, sequential.detail.ripup_rescued);
-  EXPECT_EQ(one.detail.sp_cleanup_nets, sequential.detail.sp_cleanup_nets);
+  EXPECT_EQ(one.tallies, sequential.tallies);
 }
 
 // The ECO path schedules its main pass, rescue and short-polygon cleanup

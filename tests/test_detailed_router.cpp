@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "detail/net_ordering.hpp"
 
 namespace mebl::detail {
@@ -13,6 +15,19 @@ using geom::Orientation;
 
 grid::RoutingGrid make_grid(Coord w = 120, Coord h = 120) {
   return grid::RoutingGrid(w, h, 3, 30, grid::StitchPlan(w, 15));
+}
+
+/// Subnets with committed geometry.
+std::ptrdiff_t routed_count(const DetailedResult& result) {
+  return std::count_if(result.subnet_nodes.begin(), result.subnet_nodes.end(),
+                       [](const auto& nodes) { return !nodes.empty(); });
+}
+
+/// Subnets whose committed geometry came from `method`.
+std::ptrdiff_t method_count(const DetailedResult& result,
+                            RouteMethod method) {
+  return std::count(result.subnet_method.begin(), result.subnet_method.end(),
+                    method);
 }
 
 TEST(NetOrdering, BadEndsFirstThenSmallBbox) {
@@ -47,10 +62,9 @@ TEST(DetailedRouter, RoutesSubnetsWithoutPlan) {
   assign::RoutePlan plan;
   plan.runs_of_path.resize(subnets.size());
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.routed, 2);
-  EXPECT_EQ(result.failed, 0);
-  EXPECT_EQ(result.astar_routed + result.pattern_routed, 2);
-  EXPECT_EQ(result.planned_realized, 0);
+  EXPECT_EQ(routed_count(result), 2);
+  EXPECT_EQ(method_count(result, RouteMethod::kSearch), 2);
+  EXPECT_EQ(method_count(result, RouteMethod::kRealized), 0);
 }
 
 TEST(DetailedRouter, ClaimPinsBlocksForeignNets) {
@@ -94,7 +108,7 @@ TEST(DetailedRouter, RealizesPlannedTrack) {
   plan.runs_of_path.push_back({0, 1});
 
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.planned_realized, 1);
+  EXPECT_EQ(method_count(result, RouteMethod::kRealized), 1);
   // The vertical wire sits on the assigned track x=47, layer 2.
   EXPECT_EQ(grid.owner({47, 50, 2}), 0);
   // And connects to both pins.
@@ -121,7 +135,7 @@ TEST(DetailedRouter, PlannedDoglegRealized) {
   plan.runs_of_path.push_back({0});
 
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.planned_realized, 1);
+  EXPECT_EQ(method_count(result, RouteMethod::kRealized), 1);
   EXPECT_EQ(grid.owner({47, 30, 2}), 0);   // first piece
   EXPECT_EQ(grid.owner({50, 80, 2}), 0);   // second piece
 }
@@ -147,9 +161,8 @@ TEST(DetailedRouter, FallsBackToAStarWhenPlannedTrackBlocked) {
   plan.runs_of_path.push_back({0});
 
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.routed, 1);
-  EXPECT_EQ(result.planned_realized, 0);
-  EXPECT_EQ(result.astar_routed + result.pattern_routed, 1);
+  EXPECT_EQ(routed_count(result), 1);
+  EXPECT_EQ(method_count(result, RouteMethod::kSearch), 1);
 }
 
 TEST(DetailedRouter, RippedRunsRouteDirectly) {
@@ -169,9 +182,9 @@ TEST(DetailedRouter, RippedRunsRouteDirectly) {
   plan.runs.push_back(v);
   plan.runs_of_path.push_back({0});
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.routed, 1);
-  EXPECT_EQ(result.planned_realized, 0);  // ripped plan cannot be realized
-  EXPECT_EQ(result.astar_routed + result.pattern_routed, 1);
+  EXPECT_EQ(routed_count(result), 1);
+  // A ripped plan cannot be realized.
+  EXPECT_EQ(method_count(result, RouteMethod::kSearch), 1);
 }
 
 TEST(DetailedRouter, ManyParallelSubnetsAllRouted) {
@@ -186,8 +199,7 @@ TEST(DetailedRouter, ManyParallelSubnetsAllRouted) {
   assign::RoutePlan plan;
   plan.runs_of_path.resize(subnets.size());
   const auto result = router.route_all(subnets, plan);
-  EXPECT_EQ(result.routed, 20);
-  EXPECT_EQ(result.failed, 0);
+  EXPECT_EQ(routed_count(result), 20);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ TEST(GlobalRouter, RoutesSimpleSubnet) {
   const std::vector<netlist::Subnet> subnets{{0, {5, 5}, {95, 95}}};
   const auto result = router.route(subnets);
   ASSERT_EQ(result.paths.size(), 1u);
-  ASSERT_TRUE(result.paths[0].routed);
+  ASSERT_FALSE(result.paths[0].tiles.empty());
   const auto& tiles = result.paths[0].tiles;
   EXPECT_EQ(tiles.front(), (grid::GCellId{0, 0}));
   EXPECT_EQ(tiles.back(), (grid::GCellId{3, 3}));
@@ -38,7 +38,7 @@ TEST(GlobalRouter, SameTileSubnetIsTrivial) {
   GlobalRouter router(grid);
   const std::vector<netlist::Subnet> subnets{{0, {2, 2}, {9, 9}}};
   const auto result = router.route(subnets);
-  ASSERT_TRUE(result.paths[0].routed);
+  ASSERT_FALSE(result.paths[0].tiles.empty());
   EXPECT_EQ(result.paths[0].tiles.size(), 1u);
   EXPECT_EQ(result.wirelength, 0);
 }
@@ -73,7 +73,7 @@ TEST(GlobalRouter, ManySubnetsAllRouted) {
     subnets.push_back({i, {static_cast<geom::Coord>(3 * i % 110), 5},
                        {static_cast<geom::Coord>((3 * i + 60) % 110), 95}});
   const auto result = router.route(subnets);
-  for (const auto& path : result.paths) EXPECT_TRUE(path.routed);
+  for (const auto& path : result.paths) EXPECT_FALSE(path.tiles.empty());
 }
 
 TEST(GlobalRouter, VertexCostSpreadsLineEnds) {
@@ -109,7 +109,7 @@ TEST(GlobalRouter, PathEndpointsMatchPinTiles) {
       {0, {40, 70}, {100, 10}}, {1, {0, 0}, {119, 119}}};
   const auto result = router.route(subnets);
   for (std::size_t i = 0; i < subnets.size(); ++i) {
-    ASSERT_TRUE(result.paths[i].routed);
+    ASSERT_FALSE(result.paths[i].tiles.empty());
     EXPECT_EQ(result.paths[i].tiles.front().tx,
               grid.tile_of_x(subnets[i].a.x));
     EXPECT_EQ(result.paths[i].tiles.front().ty,

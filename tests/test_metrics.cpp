@@ -110,7 +110,8 @@ TEST(Metrics, RoutabilityCountsFullyRoutedNets) {
   const std::vector<netlist::Subnet> subnets{
       {a, {0, 0}, {1, 1}}, {b, {2, 2}, {3, 3}}, {b, {3, 3}, {4, 4}}};
   detail::DetailedResult outcome;
-  outcome.subnet_routed = {true, true, false};  // net b partially failed
+  // Net b partially failed: its second subnet has no geometry.
+  outcome.subnet_nodes = {{{0, 0, 0}}, {{2, 2, 0}}, {}};
   const auto metrics = compute_metrics(grid, nl, subnets, outcome);
   EXPECT_EQ(metrics.routed_nets, 1);
   EXPECT_EQ(metrics.total_nets, 2);

@@ -10,24 +10,22 @@ using grid::GCellId;
 
 global::GlobalResult make_result(std::vector<std::vector<GCellId>> paths) {
   global::GlobalResult result;
-  for (auto& tiles : paths) {
-    global::TilePath path;
-    path.net = static_cast<netlist::NetId>(result.paths.size());
-    path.routed = true;
-    path.tiles = std::move(tiles);
-    result.paths.push_back(std::move(path));
-  }
+  for (auto& tiles : paths) result.paths.push_back({std::move(tiles)});
   return result;
 }
 
-grid::RoutingGrid make_grid() {
-  return grid::RoutingGrid(300, 300, 3, 30, grid::StitchPlan(300, 15));
+/// One subnet per path, of net = path index (extract_runs reads only the
+/// net).
+std::vector<netlist::Subnet> subnets_for(const global::GlobalResult& result) {
+  std::vector<netlist::Subnet> subnets(result.paths.size());
+  for (std::size_t i = 0; i < subnets.size(); ++i)
+    subnets[i].net = static_cast<netlist::NetId>(i);
+  return subnets;
 }
 
 TEST(Panel, ExtractsSingleHorizontalRun) {
-  const auto grid = make_grid();
   const auto result = make_result({{{0, 2}, {1, 2}, {2, 2}}});
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   ASSERT_EQ(plan.runs.size(), 1u);
   EXPECT_EQ(plan.runs[0].dir, Orientation::kHorizontal);
   EXPECT_EQ(plan.runs[0].fixed_tile, 2);
@@ -35,10 +33,9 @@ TEST(Panel, ExtractsSingleHorizontalRun) {
 }
 
 TEST(Panel, ExtractsLShape) {
-  const auto grid = make_grid();
   // Right two tiles, then down two tiles.
   const auto result = make_result({{{0, 0}, {1, 0}, {2, 0}, {2, 1}, {2, 2}}});
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   ASSERT_EQ(plan.runs.size(), 2u);
   EXPECT_EQ(plan.runs[0].dir, Orientation::kHorizontal);
   EXPECT_EQ(plan.runs[1].dir, Orientation::kVertical);
@@ -51,11 +48,10 @@ TEST(Panel, ExtractsLShape) {
 }
 
 TEST(Panel, ZShapeContinuations) {
-  const auto grid = make_grid();
   // down, right, down: the middle horizontal run joins two vertical runs.
   const auto result = make_result(
       {{{0, 0}, {0, 1}, {1, 1}, {2, 1}, {2, 2}}});
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   ASSERT_EQ(plan.runs.size(), 3u);
   const auto& v1 = plan.runs[0];
   const auto& v2 = plan.runs[2];
@@ -69,10 +65,9 @@ TEST(Panel, ZShapeContinuations) {
 }
 
 TEST(Panel, UpwardVerticalRunMapsEndsCorrectly) {
-  const auto grid = make_grid();
   // Path going up (decreasing ty), then right.
   const auto result = make_result({{{1, 3}, {1, 2}, {1, 1}, {2, 1}}});
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   ASSERT_EQ(plan.runs.size(), 2u);
   const auto& run = plan.runs[0];
   EXPECT_EQ(run.dir, Orientation::kVertical);
@@ -84,26 +79,21 @@ TEST(Panel, UpwardVerticalRunMapsEndsCorrectly) {
 }
 
 TEST(Panel, UnroutedAndTrivialPathsYieldNoRuns) {
-  const auto grid = make_grid();
   auto result = make_result({{{0, 0}}});
-  global::TilePath unrouted;
-  unrouted.net = 9;
-  unrouted.routed = false;
-  result.paths.push_back(unrouted);
-  const auto plan = extract_runs(result, grid);
+  result.paths.emplace_back();  // unrouted: no tiles
+  const auto plan = extract_runs(result, subnets_for(result));
   EXPECT_TRUE(plan.runs.empty());
   EXPECT_EQ(plan.runs_of_path.size(), 2u);
   EXPECT_TRUE(plan.runs_of_path[0].empty());
 }
 
 TEST(Panel, PanelLookups) {
-  const auto grid = make_grid();
   const auto result = make_result({
       {{0, 0}, {0, 1}},          // vertical in column 0
       {{2, 0}, {2, 1}, {2, 2}},  // vertical in column 2
       {{0, 3}, {1, 3}},          // horizontal in row 3
   });
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   EXPECT_EQ(runs_in_column_panel(plan, 0).size(), 1u);
   EXPECT_EQ(runs_in_column_panel(plan, 1).size(), 0u);
   EXPECT_EQ(runs_in_column_panel(plan, 2).size(), 1u);
@@ -111,15 +101,48 @@ TEST(Panel, PanelLookups) {
 }
 
 TEST(Panel, RunsOfPathPreserveOrder) {
-  const auto grid = make_grid();
   const auto result =
       make_result({{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 2}}});
-  const auto plan = extract_runs(result, grid);
+  const auto plan = extract_runs(result, subnets_for(result));
   ASSERT_EQ(plan.runs_of_path[0].size(), plan.runs.size());
   // Alternating H/V runs in path order.
   const auto& ids = plan.runs_of_path[0];
   for (std::size_t i = 0; i + 1 < ids.size(); ++i)
     EXPECT_NE(plan.runs[ids[i]].dir, plan.runs[ids[i + 1]].dir);
+}
+
+TEST(Panel, RunNetIsItsSubnets) {
+  const auto result = make_result({{{0, 0}, {0, 1}}, {{1, 0}, {2, 0}}});
+  std::vector<netlist::Subnet> subnets = subnets_for(result);
+  subnets[0].net = 7;
+  subnets[1].net = 3;
+  const auto plan = extract_runs(result, subnets);
+  ASSERT_EQ(plan.runs.size(), 2u);
+  EXPECT_EQ(plan.runs[0].net, 7);
+  EXPECT_EQ(plan.runs[0].path_index, 0u);
+  EXPECT_EQ(plan.runs[1].net, 3);
+  EXPECT_EQ(plan.runs[1].path_index, 1u);
+}
+
+TEST(Panel, CopyAssignmentCopiesOnlyTheAssignmentFields) {
+  const auto result = make_result({{{0, 0}, {0, 1}, {0, 2}}, {{3, 0}, {3, 1}}});
+  const auto plan = extract_runs(result, subnets_for(result));
+  ASSERT_EQ(plan.runs.size(), 2u);
+  GlobalRun from = plan.runs[1];
+  from.layer = 2;
+  from.pieces = {{{0, 1}, 95}};
+  from.ripped = true;
+  from.bad_ends = 1;
+  GlobalRun to = plan.runs[0];
+  copy_assignment(from, to);
+  EXPECT_EQ(to.layer, 2);
+  EXPECT_EQ(to.pieces, from.pieces);
+  EXPECT_TRUE(to.ripped);
+  EXPECT_EQ(to.bad_ends, 1);
+  // The extraction fields stay those of the destination run.
+  EXPECT_EQ(to.net, plan.runs[0].net);
+  EXPECT_EQ(to.fixed_tile, 0);
+  EXPECT_EQ(to.span, (geom::Interval{0, 2}));
 }
 
 }  // namespace

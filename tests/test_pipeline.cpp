@@ -117,10 +117,15 @@ TEST(Pipeline, StatsSnapshotCarriesPerRunCounters) {
   StitchAwareRouter router(circuit.grid, circuit.netlist);
   const auto result = router.run();
 
-  // The snapshot isolates this run: the short-polygon counter delta equals
-  // the run's own metric even though the process counter accumulates.
-  EXPECT_EQ(result.stats().value(keys::kShortPolygons),
-            result.metrics.short_polygons);
+  // The snapshot isolates this run: the failed-subnet counter delta equals
+  // the run's own subnets without geometry even though the process counter
+  // accumulates.
+  const auto unrouted = [](const RoutingResult& run) {
+    return std::count_if(run.detail.subnet_nodes.begin(),
+                         run.detail.subnet_nodes.end(),
+                         [](const auto& nodes) { return nodes.empty(); });
+  };
+  EXPECT_EQ(result.stats().value(keys::kSubnetsFailed), unrouted(result));
   EXPECT_GT(result.stats().value(keys::kAstarSearches), 0);
   EXPECT_GE(result.stats().value(keys::kAstarExpansions), 0);
   EXPECT_GT(result.stats().value(keys::kLayerPanels), 0);
@@ -128,11 +133,13 @@ TEST(Pipeline, StatsSnapshotCarriesPerRunCounters) {
   // Registered even when the run never touched the ILP.
   EXPECT_EQ(result.stats().value(keys::kTrackIlpNodes), 0);
 
-  // A second run's snapshot is again per-run, not cumulative.
+  // A second run's snapshot is again per-run, not cumulative: the same
+  // deterministic route counts the same searches, not twice as many.
   StitchAwareRouter again(circuit.grid, circuit.netlist);
   const auto result2 = again.run();
-  EXPECT_EQ(result2.stats().value(keys::kShortPolygons),
-            result2.metrics.short_polygons);
+  EXPECT_EQ(result2.stats().value(keys::kSubnetsFailed), unrouted(result2));
+  EXPECT_EQ(result2.stats().value(keys::kAstarSearches),
+            result.stats().value(keys::kAstarSearches));
 }
 
 TEST(Pipeline, TracingEmitsNestedStageSpans) {

@@ -121,7 +121,7 @@ TEST_P(PipelineProperty, HardConstraintsAndInvariantsHold) {
   std::vector<bool> net_ok(circuit.netlist.num_nets(), true);
   const auto subnets = netlist::decompose_all(circuit.netlist);
   for (std::size_t i = 0; i < subnets.size(); ++i)
-    if (!result.detail.subnet_routed[i])
+    if (result.detail.subnet_nodes[i].empty())
       net_ok[static_cast<std::size_t>(subnets[i].net)] = false;
   for (const auto& pin : circuit.netlist.pins()) {
     if (net_ok[static_cast<std::size_t>(pin.net)]) {
@@ -186,7 +186,7 @@ TEST_P(ConnectivityProperty, RoutedSubnetsAreConnected) {
   };
 
   for (std::size_t i = 0; i < subnets.size(); ++i) {
-    if (!result.detail.subnet_routed[i]) continue;
+    if (result.detail.subnet_nodes[i].empty()) continue;
     EXPECT_TRUE(reachable(subnets[i].net, {subnets[i].a.x, subnets[i].a.y, 0},
                           {subnets[i].b.x, subnets[i].b.y, 0}))
         << "subnet " << i << " of net " << subnets[i].net << " disconnected";

@@ -15,7 +15,6 @@
 #include "report/json.hpp"
 #include "report/report.hpp"
 #include "report/spatial.hpp"
-#include "telemetry/keys.hpp"
 
 namespace {
 
@@ -117,23 +116,6 @@ TEST(RunReport, RecordsEveryStage) {
   EXPECT_EQ(stages[2].name, "track_assign");
   EXPECT_EQ(stages[3].name, "detail");
   EXPECT_EQ(stages[4].name, "metrics");
-}
-
-TEST(RunReport, QualityCountersLandInsideTheirStage) {
-  // Regression test: eval.* counters used to be added after the metrics
-  // stage boundary, so per-stage observers never saw them.
-  const auto& run = routed_run();
-  const auto& metrics_stage = run.result.stages.back();
-  EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kShortPolygons),
-            run.result.metrics.short_polygons);
-  EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kWirelength),
-            run.result.metrics.wirelength);
-  EXPECT_EQ(metrics_stage.counters.value(telemetry::keys::kTotalNets),
-            run.result.metrics.total_nets);
-  // And the global stage carries its own quality counters.
-  const auto& global_stage = run.result.stages.front();
-  EXPECT_EQ(global_stage.counters.value(telemetry::keys::kGlobalWirelength),
-            run.result.global.wirelength);
 }
 
 TEST(RunReport, SerializationRoundTripsByteIdentical) {
@@ -353,6 +335,25 @@ TEST(Diff, ExactMetricsGateBothWays) {
             report::kDiffRegression);
 }
 
+// The ECO bench rows' batch size and dirty closure are deterministic: one
+// changed dirty_subnets value fails the gate.
+TEST(Diff, EcoClosureCountsGateExactly) {
+  const auto doc = [](std::int64_t dirty) {
+    Json d = bench_doc(10, 1000.0, 99.0, 5.0);
+    d["rows"].items()[0]["metrics"]["batch_nets"] = std::int64_t{10};
+    d["rows"].items()[0]["metrics"]["dirty_subnets"] = dirty;
+    return d;
+  };
+  const Json base = doc(18);
+  EXPECT_EQ(report::diff_reports(base, doc(18)).exit_code(), report::kDiffOk);
+  const auto changed = report::diff_reports(base, doc(19));
+  EXPECT_TRUE(changed.regressed());
+  EXPECT_EQ(changed.exit_code(), 1);
+  EXPECT_EQ(report::metric_direction("batch_nets"), report::Direction::kExact);
+  EXPECT_EQ(report::metric_direction("dirty_subnets"),
+            report::Direction::kExact);
+}
+
 TEST(Diff, SecondsAreLooselyGated) {
   const Json base = bench_doc(10, 1000.0, 99.0, 5.0);
   // +40%: inside the max(2 s abs, 50% rel) slack.
@@ -447,7 +448,7 @@ TEST(Diff, DirectionTableKnowsTheGatedMetrics) {
 
 // -------------------------------------------------------- observer fanout
 
-TEST(ObserverFanout, MultipleObserversSeeEveryStage) {
+TEST(ObserverFanout, ObserverSeesEveryStage) {
   class CountingObserver final : public core::ProgressObserver {
    public:
     int begins = 0;
@@ -461,13 +462,11 @@ TEST(ObserverFanout, MultipleObserversSeeEveryStage) {
   core::StitchAwareRouter router(
       circuit.grid, circuit.netlist,
       core::RouterConfig::stitch_aware().with_threads(2));
-  CountingObserver first, second;
-  router.add_observer(&first).add_observer(&second);
+  CountingObserver observer;
+  router.set_observer(&observer);
   const auto result = router.run();
-  EXPECT_EQ(first.begins, 5);
-  EXPECT_EQ(first.ends, 5);
-  EXPECT_EQ(second.begins, 5);
-  EXPECT_EQ(second.ends, 5);
+  EXPECT_EQ(observer.begins, 5);
+  EXPECT_EQ(observer.ends, 5);
   EXPECT_EQ(result.stages.size(), 5u);
   EXPECT_FALSE(result.cancelled);
 }

@@ -72,14 +72,18 @@ TEST(ServeProtocol, RequestRoundTripsEveryField) {
   EXPECT_TRUE(decoded->verify);
   EXPECT_EQ(decoded->cancel_id, 7);
 
-  // Older clients send one move as separate keys; it decodes to the first
-  // move, ahead of any listed ones.
+  // Pin moves travel only in the `moves` list: the old single-move keys
+  // are unknown keys now and add no move.
   const auto legacy = decode_request(
       R"({"op":"eco","id":1,"move_pin":9,"move_to_x":12,"move_to_y":34,)"
       R"("moves":[{"pin":3,"x":7,"y":8}]})");
   ASSERT_TRUE(legacy.has_value());
-  const std::vector<PinMoveSpec> expected = {{9, {12, 34}}, {3, {7, 8}}};
+  const std::vector<PinMoveSpec> expected = {{3, {7, 8}}};
   EXPECT_EQ(legacy->moves, expected);
+  const auto keys_only = decode_request(
+      R"({"op":"eco","id":2,"move_pin":9,"move_to_x":12,"move_to_y":34})");
+  ASSERT_TRUE(keys_only.has_value());
+  EXPECT_TRUE(keys_only->moves.empty());
   EXPECT_EQ(encode(*legacy).find("move_pin"), std::string::npos)
       << "encode must emit only the moves list";
 }

@@ -207,7 +207,7 @@ TEST_P(GlobalDemandSweep, DemandsMatchRecount) {
 
   std::map<std::tuple<char, int, int>, int> expected;
   for (const auto& path : result.paths) {
-    ASSERT_TRUE(path.routed);
+    ASSERT_FALSE(path.tiles.empty());
     for (std::size_t i = 0; i + 1 < path.tiles.size(); ++i) {
       const auto a = path.tiles[i];
       const auto b = path.tiles[i + 1];

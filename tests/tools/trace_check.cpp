@@ -269,7 +269,7 @@ void check_stats(const Value& root) {
   if (counters == nullptr) return;
   for (const char* key :
        {"detail.ripup.rescued", "detail.astar.expansions",
-        "assign.track.ilp_nodes", "eval.short_polygons"}) {
+        "assign.track.ilp_nodes", "detail.subnets.failed"}) {
     const Value* counter = counters->get(key);
     check(counter != nullptr && counter->kind == Value::Kind::kNumber,
           std::string("stats counter present: ") + key);
