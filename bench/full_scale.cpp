@@ -10,6 +10,10 @@
 // 1-net and 10-net ECOs on a multilevel resident of that instance (wall
 // time of ResidentDesign::eco, report included) and exits 1 when the 1-net
 // median passes kEcoOneNetBudgetSeconds; its final quality is gated exactly.
+// The `detail` row batch-routes the laptop-scale S38417 (the perfbench
+// route_s38417 circuit, where detail is most of the time) and gates its
+// A* work and schedule counts and its quality exactly; the detail phase
+// times are informational.
 //
 //   full_scale [--threads N] [--json FILE] [--trace FILE] [--stats FILE]
 //
@@ -314,6 +318,63 @@ int main(int argc, char** argv) {
   std::cout << "\n"
             << eco_table.str("Full-scale ECO (median of " +
                              std::to_string(kEcoReps) + ", report included)");
+
+  // Detail row: laptop-scale S38417 through every stage. It runs last and
+  // peaks well below the pipeline row, so that row's RSS sample stands.
+  {
+    const auto* detail_spec = bench_suite::find_spec("S38417");
+    const auto circuit = bench_common::generate(*detail_spec);
+    util::Timer timer;
+    core::StitchAwareRouter router(
+        circuit.grid, circuit.netlist,
+        core::RouterConfig::stitch_aware().with_threads(
+            bench_common::threads_from_args(argc, argv)));
+    const auto result = router.run();
+    const double route_seconds = timer.seconds();
+    namespace keys = telemetry::keys;
+    const auto count = [&](const char* key) {
+      return result.stats().value(key);
+    };
+    const auto seconds_of = [&](const char* key) {
+      return static_cast<double>(count(key)) / 1e9;
+    };
+    const double detail_seconds =
+        result.stages.at(static_cast<std::size_t>(core::Stage::kDetail))
+            .seconds;
+    const eval::RouteMetrics& quality = result.metrics;
+    report::Json::Object metrics;
+    metrics["astar_searches"] = count(keys::kAstarSearches);
+    metrics["astar_expansions"] = count(keys::kAstarExpansions);
+    metrics["sealed_fails"] = count(keys::kAstarSealedFails);
+    metrics["escalations"] = count(keys::kDetailEscalations);
+    metrics["failed_subnets"] = count(keys::kSubnetsFailed);
+    metrics["final_short_polygons"] = std::int64_t{quality.short_polygons};
+    metrics["final_via_violations"] = std::int64_t{quality.via_violations};
+    metrics["final_vias"] = std::int64_t{quality.vias};
+    metrics["final_wirelength"] = quality.wirelength;
+    metrics["route_s"] = route_seconds;
+    metrics["detail_s"] = detail_seconds;
+    metrics["main_pass_s"] = seconds_of(keys::kDetailPhaseMainPassNs);
+    metrics["rescue_s"] = seconds_of(keys::kDetailPhaseRescueNs);
+    metrics["rescue_probe_s"] = seconds_of(keys::kDetailPhaseRescueProbeNs);
+    metrics["sp_cleanup_s"] = seconds_of(keys::kDetailPhaseSpCleanupNs);
+    report_scope.add(detail_spec->name, "detail", std::move(metrics));
+
+    const auto fixed = [](double value) {
+      return util::Table::fixed(value, 2);
+    };
+    util::Table detail_table("Circuit", "Searches", "Expansions", "Sealed",
+                             "Failed", "Detail (s)", "Main/Rescue/SP (s)");
+    detail_table.add_row(
+        detail_spec->name, std::to_string(count(keys::kAstarSearches)),
+        std::to_string(count(keys::kAstarExpansions)),
+        std::to_string(count(keys::kAstarSealedFails)),
+        std::to_string(count(keys::kSubnetsFailed)), fixed(detail_seconds),
+        fixed(seconds_of(keys::kDetailPhaseMainPassNs)) + "/" +
+            fixed(seconds_of(keys::kDetailPhaseRescueNs)) + "/" +
+            fixed(seconds_of(keys::kDetailPhaseSpCleanupNs)));
+    std::cout << "\n" << detail_table.str("Detailed routing (laptop scale)");
+  }
 
   int status = 0;
   if (pipeline_rss_kb > kPipelineRssBudgetKb) {

@@ -1,6 +1,7 @@
 #include "detail/astar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -23,6 +24,28 @@ constexpr double kViaLength = 2.0;
 /// Cost of stepping along nodes the net already owns (wire reuse).
 constexpr double kOwnNetStep = 0.01;
 
+/// Dense numbering of the (x, y, layer) states of a search box, layer-major.
+struct BoxStates {
+  explicit BoxStates(const Rect& r) : box(r), w(r.width()), h(r.height()) {}
+
+  [[nodiscard]] std::int32_t state(Point3 p) const {
+    return static_cast<std::int32_t>(
+        (static_cast<std::size_t>(p.layer) * h + (p.y - box.ylo)) * w +
+        (p.x - box.xlo));
+  }
+  [[nodiscard]] Point3 point(std::int32_t s) const {
+    const auto u = static_cast<std::size_t>(s);
+    return Point3{
+        static_cast<Coord>(box.xlo + u % w),
+        static_cast<Coord>(box.ylo + (u / w) % h),
+        static_cast<geom::LayerId>(u / (static_cast<std::size_t>(w) * h))};
+  }
+
+  Rect box;
+  int w;
+  int h;
+};
+
 }  // namespace
 
 AStarRouter::AStarRouter(const GridGraph& grid, AStarConfig config)
@@ -31,6 +54,8 @@ AStarRouter::AStarRouter(const GridGraph& grid, AStarConfig config)
       searches_counter_(&telemetry::counter(telemetry::keys::kAstarSearches)),
       expansions_counter_(
           &telemetry::counter(telemetry::keys::kAstarExpansions)),
+      sealed_fails_counter_(
+          &telemetry::counter(telemetry::keys::kAstarSealedFails)),
       search_ns_histogram_(
           &telemetry::histogram(telemetry::keys::kAstarSearchNs)) {
   const auto& rg = grid.routing_grid();
@@ -99,6 +124,90 @@ void AStarRouter::add_node_penalty(Point3 node, double penalty) {
   if (it->second == 0.0) guards_.erase(it);
 }
 
+template <typename Fn>
+void AStarRouter::for_each_move(Point3 p, const Rect& box, Point a, Point b,
+                                Fn&& fn) const {
+  Point3 next[4];
+  int count = 0;
+  const Column& pc = columns_[static_cast<std::size_t>(p.x)];
+  if (p.layer >= 1) {
+    if (layer_horizontal_[static_cast<std::size_t>(p.layer)] != 0) {
+      next[count++] = {static_cast<Coord>(p.x - 1), p.y, p.layer};
+      next[count++] = {static_cast<Coord>(p.x + 1), p.y, p.layer};
+    } else if (pc.vmove_ok != 0) {
+      next[count++] = {p.x, static_cast<Coord>(p.y - 1), p.layer};
+      next[count++] = {p.x, static_cast<Coord>(p.y + 1), p.layer};
+    }
+  }
+  // Layer hops (vias) keep the column. Vias on a stitching column are
+  // allowed only at the fixed pin positions (tolerated via violations).
+  const auto is_pin_xy = [&](Coord x, Coord y) {
+    return (x == a.x && y == a.y) || (x == b.x && y == b.y);
+  };
+  if (pc.via_ok != 0 || is_pin_xy(p.x, p.y)) {
+    if (static_cast<std::size_t>(p.layer) + 1 < layer_horizontal_.size())
+      next[count++] = {p.x, p.y, static_cast<geom::LayerId>(p.layer + 1)};
+    if (p.layer >= 1)
+      next[count++] = {p.x, p.y, static_cast<geom::LayerId>(p.layer - 1)};
+  }
+  // One call site for fn, so each caller's body inlines here as a loop.
+  for (int m = 0; m < count; ++m) {
+    const Point3 q = next[m];
+    if (q.x < box.xlo || q.x > box.xhi || q.y < box.ylo || q.y > box.yhi)
+      continue;
+    // The pin layer is only enterable at this subnet's own pins.
+    if (q.layer == 0 && !is_pin_xy(q.x, q.y)) continue;
+    fn(q);
+  }
+}
+
+bool AStarRouter::goal_sealed(netlist::NetId net, Point a, Point b,
+                              const Rect& box) const {
+  const BoxStates states(box);
+  const Point3 start{a.x, a.y, 0};
+  // Visited set: open addressing over a power-of-two table at least four
+  // times the cap, so probes stay short; -1 marks a free slot.
+  constexpr int kSlotBits = 12;
+  constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static_assert(kSlots >= 4 * kSealCap);
+  std::array<std::int32_t, kSlots> seen;
+  seen.fill(-1);
+  const auto insert = [&](std::int32_t s) {  // true when s is new
+    std::size_t i =  // Fibonacci hashing: the product's top bits
+        (static_cast<std::uint32_t>(s) * 2654435761u) >> (32 - kSlotBits);
+    for (; seen[i] != -1; i = (i + 1) & (kSlots - 1))
+      if (seen[i] == s) return false;
+    seen[i] = s;
+    return true;
+  };
+  std::array<std::int32_t, kSealCap> queue;  // every visited node, BFS order
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue[tail++] = states.state({b.x, b.y, 0});
+  insert(queue[0]);
+  bool open = false;  // met the start pin, or outgrew the cap
+  while (!open && head < tail)
+    for_each_move(states.point(queue[head++]), box, a, b, [&](Point3 q) {
+      if (open) return;
+      // The search never tests its start node's owner, so neither does
+      // the flood: meeting the start pin means a path may exist.
+      if (q == start) {
+        open = true;
+        return;
+      }
+      const netlist::NetId owner = grid_->owner(q);
+      if (owner != -1 && owner != net) return;  // foreign: blocked
+      const std::int32_t s = states.state(q);
+      if (!insert(s)) return;
+      if (tail == kSealCap) {  // too large to decide
+        open = true;
+        return;
+      }
+      queue[tail++] = s;
+    });
+  return !open;
+}
+
 bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
                          Point b, const Rect& box, double foreign_penalty,
                          const NodeBitmap* hard) const {
@@ -106,12 +215,11 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   const std::uint64_t start_ns = telemetry::now_ns();
   const auto& rg = grid_->routing_grid();
   assert(box.contains(a) && box.contains(b));
-  const int w = box.width();
-  const int h = box.height();
-  const int layers = rg.num_layers();
+  const BoxStates states(box);
 
-  const std::size_t num_states =
-      static_cast<std::size_t>(w) * h * static_cast<std::size_t>(layers);
+  const std::size_t num_states = static_cast<std::size_t>(states.w) *
+                                 states.h *
+                                 static_cast<std::size_t>(rg.num_layers());
   if (scratch.stamp.size() < num_states) {
     scratch.stamp.assign(num_states, 0);
     scratch.g_cost.resize(num_states);
@@ -123,23 +231,15 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
          !scratch_peak_states_.compare_exchange_weak(
              peak, scratch.stamp.size(), std::memory_order_relaxed)) {
   }
-  ++scratch.epoch;
+  if (++scratch.epoch == 0) {  // wrap-around: stamps from 2^32 ago are stale
+    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+    scratch.epoch = 1;
+  }
   const std::uint32_t epoch = scratch.epoch;
   std::uint32_t* const stamp = scratch.stamp.data();
   double* const g_cost = scratch.g_cost.data();
   std::int32_t* const parent = scratch.parent.data();
 
-  const auto state_of = [&](Point3 p) {
-    return static_cast<std::int32_t>(
-        (static_cast<std::size_t>(p.layer) * h + (p.y - box.ylo)) * w +
-        (p.x - box.xlo));
-  };
-  const auto point_of = [&](std::int32_t s) {
-    const auto u = static_cast<std::size_t>(s);
-    return Point3{static_cast<Coord>(box.xlo + u % w),
-                  static_cast<Coord>(box.ylo + (u / w) % h),
-                  static_cast<geom::LayerId>(u / (static_cast<std::size_t>(w) * h))};
-  };
   const auto heuristic = [&](Point3 p) {
     double est =
         kAlpha *
@@ -155,15 +255,11 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   auto& heap = scratch.heap;
   heap.clear();
   const HeapWorse worse;
-  const std::int32_t start_state = state_of(start);
+  const std::int32_t start_state = states.state(start);
   stamp[static_cast<std::size_t>(start_state)] = epoch;
   g_cost[static_cast<std::size_t>(start_state)] = 0.0;
   parent[static_cast<std::size_t>(start_state)] = -1;
   heap.push_back({heuristic(start), 0.0, start_state});
-
-  const auto is_pin_xy = [&](Coord x, Coord y) {
-    return (x == a.x && y == a.y) || (x == b.x && y == b.y);
-  };
 
   const Column* const columns = columns_.data();
   // Static node penalties apply only with the stitch costs on (they guard
@@ -172,6 +268,9 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   const double via_step = kAlpha * kViaLength;
   const double wire_step = kAlpha;
   const double beta_scaled = beta_scale_ * config_.beta;
+  // Normal mode blocks foreign nodes and has no expansion cap, which is
+  // what makes the sealed-goal check exact.
+  const bool normal_mode = foreign_penalty < 0.0;
 
   // Hot-node plateau bypass. The heuristic is consistent, so a child whose
   // f does not exceed the just-popped f is guaranteed to be the next pop:
@@ -182,6 +281,7 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   // higher-g tie-break would sift every plateau child to the heap root.
   std::int64_t expanded = 0;
   std::int32_t goal_state = -1;
+  bool sealed = false;
   SearchScratch::HeapEntry hot{};
   bool have_hot = false;
   while (have_hot || !heap.empty()) {
@@ -196,49 +296,27 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
     }
     if (top.g > g_cost[static_cast<std::size_t>(top.state)]) continue;
     ++expanded;
-    const Point3 p = point_of(top.state);
+    const Point3 p = states.point(top.state);
     if (p == goal) {
       goal_state = top.state;
       break;
     }
-
-    // Enumerate legal moves from p.
-    Point3 next[4];
-    int count = 0;
-    const Column& pc = columns[p.x];
-    if (p.layer >= 1) {
-      if (layer_horizontal_[static_cast<std::size_t>(p.layer)] != 0) {
-        next[count++] = {static_cast<Coord>(p.x - 1), p.y, p.layer};
-        next[count++] = {static_cast<Coord>(p.x + 1), p.y, p.layer};
-      } else if (pc.vmove_ok != 0) {
-        next[count++] = {p.x, static_cast<Coord>(p.y - 1), p.layer};
-        next[count++] = {p.x, static_cast<Coord>(p.y + 1), p.layer};
-      }
-    }
-    // Layer hops (vias). Vias on a stitching column are allowed only at the
-    // fixed pin positions (tolerated via violations).
-    if (pc.via_ok != 0 || is_pin_xy(p.x, p.y)) {
-      if (p.layer + 1 < layers)
-        next[count++] = {p.x, p.y, static_cast<geom::LayerId>(p.layer + 1)};
-      if (p.layer >= 1)
-        next[count++] = {p.x, p.y, static_cast<geom::LayerId>(p.layer - 1)};
+    // Lazy, so searches that succeed early never pay for the flood.
+    if (expanded == kSealTrigger && normal_mode &&
+        goal_sealed(net, a, b, box)) {
+      sealed = true;
+      break;
     }
 
-    for (int m = 0; m < count; ++m) {
-      const Point3 q = next[m];
-      if (q.x < box.xlo || q.x > box.xhi || q.y < box.ylo || q.y > box.yhi)
-        continue;
-      // The pin layer is only enterable at this subnet's own pins.
-      if (q.layer == 0 && !is_pin_xy(q.x, q.y)) continue;
-
+    for_each_move(p, box, a, b, [&](const Point3 q) {
       const netlist::NetId owner = grid_->owner(q);
       const bool foreign = owner != -1 && owner != net;
       if (foreign) {
-        if (foreign_penalty < 0.0) continue;  // normal mode: blocked
+        if (normal_mode) return;  // blocked
         // Probe mode: pin-layer nodes and designated hard nodes stay
         // blocked; everything else is rip-up-able at a price.
-        if (q.layer == 0) continue;
-        if (hard != nullptr && hard->test(grid_->index(q))) continue;
+        if (q.layer == 0) return;
+        if (hard != nullptr && hard->test(grid_->index(q))) return;
       }
 
       const bool z_move = q.layer != p.layer;
@@ -257,7 +335,7 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
         if (foreign) step += foreign_penalty;
       }
 
-      const std::int32_t qs = state_of(q);
+      const std::int32_t qs = states.state(q);
       const auto uqs = static_cast<std::size_t>(qs);
       const double ng = top.g + step;
       if (stamp[uqs] != epoch || ng < g_cost[uqs]) {
@@ -277,11 +355,12 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
           std::push_heap(heap.begin(), heap.end(), worse);
         }
       }
-    }
+    });
   }
 
   searches_counter_->add(1);
   expansions_counter_->add(expanded);
+  if (sealed) sealed_fails_counter_->add(1);
   search_ns_histogram_->record_ns(telemetry::now_ns() - start_ns);
 
   if (goal_state < 0) return false;
@@ -289,7 +368,7 @@ bool AStarRouter::search(SearchScratch& scratch, netlist::NetId net, Point a,
   scratch.path.clear();
   for (std::int32_t s = goal_state; s != -1;
        s = parent[static_cast<std::size_t>(s)])
-    scratch.path.push_back(point_of(s));
+    scratch.path.push_back(states.point(s));
   std::reverse(scratch.path.begin(), scratch.path.end());
   return true;
 }

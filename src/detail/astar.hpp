@@ -51,6 +51,14 @@ struct SearchScratch {
 /// the x-direction) and no via on a line except at the subnet's fixed pin
 /// positions.
 ///
+/// Sealed-goal check: a normal-mode search that has expanded kSealTrigger
+/// states without reaching the goal floods breadth-first from the goal pin
+/// under the same move rules, capped at kSealCap nodes. A flood that closes
+/// without meeting the start pin proves the search must fail (every move
+/// is symmetric and a normal-mode search has no expansion cap), so the
+/// search returns "no path" at once; otherwise it continues where it
+/// paused. Routes are identical with or without the check.
+///
 /// The expansion kernel is branch-light: escape cost, unfriendly-region
 /// surcharge, and the via / vertical-move legality flags are pure functions
 /// of the column x, precomputed into one per-column table at construction;
@@ -60,6 +68,11 @@ struct SearchScratch {
 /// admissibility but cuts re-expansions markedly.
 class AStarRouter {
  public:
+  /// Expansions after which a normal-mode search checks for a sealed goal.
+  static constexpr std::int64_t kSealTrigger = 1024;
+  /// Most nodes the goal-side flood visits before it gives up undecided.
+  static constexpr std::size_t kSealCap = 1024;
+
   AStarRouter(const GridGraph& grid, AStarConfig config);
 
   /// The one A* search: find a path for `net` from pin `a` to pin `b` (both
@@ -103,6 +116,22 @@ class AStarRouter {
   /// Escape-region columns strictly between x1 and x2 (heuristic term).
   [[nodiscard]] double escape_between(geom::Coord x1, geom::Coord x2) const;
 
+  /// Call `fn(q)` for each move p -> q that the search rules allow whatever
+  /// the grid holds, in a fixed order. A move stays inside `box`, follows
+  /// the layer's direction (no vertical move on a stitching line), changes
+  /// layer only where a via is legal or at a pin, and enters the pin layer
+  /// only at the pins `a` and `b`. Ownership is the caller's test. Every
+  /// move it allows, it also allows backwards.
+  template <typename Fn>
+  void for_each_move(geom::Point3 p, const geom::Rect& box, geom::Point a,
+                     geom::Point b, Fn&& fn) const;
+
+  /// True when a breadth-first flood from pin `b` under for_each_move and
+  /// the normal-mode ownership rule closes within kSealCap nodes without
+  /// meeting pin `a`: then no path from a to b exists in `box`.
+  [[nodiscard]] bool goal_sealed(netlist::NetId net, geom::Point a,
+                                 geom::Point b, const geom::Rect& box) const;
+
   /// Everything the expansion loop needs that is a pure function of the
   /// column x, folded to one cache line's worth of loads per neighbor.
   struct Column {
@@ -129,6 +158,7 @@ class AStarRouter {
   // thread-safe sinks).
   telemetry::Counter* searches_counter_;
   telemetry::Counter* expansions_counter_;
+  telemetry::Counter* sealed_fails_counter_;
   telemetry::Histogram* search_ns_histogram_;
 };
 

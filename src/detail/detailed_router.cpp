@@ -649,6 +649,8 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
   telemetry::Counter& rescued = telemetry::counter(keys::kRipupRescued);
   telemetry::Counter& victims_count = telemetry::counter(keys::kRipupVictims);
   telemetry::Counter& probe_skips = telemetry::counter(keys::kMemoProbeSkips);
+  telemetry::Counter& probe_ns =
+      telemetry::counter(keys::kDetailPhaseRescueProbeNs);
   const auto& subnets = *subnets_;
   // One transaction over the whole phase: a rescue that a later one undoes
   // (the limit cycle of two subnets that keep trading places) leaves no
@@ -679,11 +681,14 @@ void DetailedRouter::rescue_failed(exec::ThreadPool* pool, bool incremental) {
       probed.push_back(idx);
       std::vector<Point3> path;
       {
+        const std::uint64_t t0 = telemetry::now_ns();
         const BorrowedScratch scratch(grid_->routing_grid(), box);
-        if (!astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box,
-                           kRipupForeignPenalty, &pin_nodes_))
-          continue;
-        path = scratch->path;
+        const bool found =
+            astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box,
+                          kRipupForeignPenalty, &pin_nodes_);
+        if (found) path = scratch->path;
+        probe_ns.add(static_cast<std::int64_t>(telemetry::now_ns() - t0));
+        if (!found) continue;
       }
       std::unordered_set<netlist::NetId> blockers;
       for (const Point3 p : path) {

@@ -56,6 +56,7 @@ const MetricSpec kSpecs[] = {
     // Steady-state ECO stream (bench/eco_reroute, DESIGN.md §9): the repair
     // memo's skip count and the stream's final quality are pure functions
     // of the stream, so any change either way means the routing changed.
+    // The full_scale eco and detail rows gate their final quality the same.
     {"memo_skips", Direction::kExact, {}},
     // The ECO rows' batch size and global dirty closure: a change means the
     // ECO rerouted a different set of subnets.
@@ -65,6 +66,14 @@ const MetricSpec kSpecs[] = {
     {"final_via_violations", Direction::kExact, {}},
     {"final_vias", Direction::kExact, {}},
     {"final_wirelength", Direction::kExact, {}},
+    // The detail row (bench/full_scale, DESIGN.md §9): how much A* work the
+    // route took and how the schedule went are pure functions of the
+    // circuit, so a change either way means the detailed router changed.
+    {"astar_searches", Direction::kExact, {}},
+    {"astar_expansions", Direction::kExact, {}},
+    {"sealed_fails", Direction::kExact, {}},
+    {"escalations", Direction::kExact, {}},
+    {"failed_subnets", Direction::kExact, {}},
 };
 
 const MetricSpec* find_spec(std::string_view name) {

@@ -61,6 +61,10 @@ inline constexpr char kTrackRipped[] = "assign.track.ripped";
 // detailed routing
 inline constexpr char kAstarSearches[] = "detail.astar.searches";
 inline constexpr char kAstarExpansions[] = "detail.astar.expansions";
+/// Normal-mode searches that the sealed-goal check ended early: a flood
+/// from the goal pin closed without meeting the start pin (DESIGN.md §9).
+/// A function of the searches alone, so canonical.
+inline constexpr char kAstarSealedFails[] = "detail.astar.sealed_fails";
 inline constexpr char kRipupRescued[] = "detail.ripup.rescued";
 inline constexpr char kRipupVictims[] = "detail.ripup.victims";
 /// Short-polygon cleanup reroutes that changed the net's geometry; the ones
@@ -100,8 +104,12 @@ inline constexpr char kMemoProbeSkips[] = "detail.memo.probe_skips";
 
 // detail phase wall time: main pass, rescue and short-polygon cleanup, in
 // the detail stage's counter block (execution-dependent by the _ns suffix).
+// rescue_probe_ns is the part of rescue_ns spent in the rip-up probes (the
+// penalized A* searches that pick the blockers), victim reroutes excluded.
 inline constexpr char kDetailPhaseMainPassNs[] = "detail.phase.main_pass_ns";
 inline constexpr char kDetailPhaseRescueNs[] = "detail.phase.rescue_ns";
+inline constexpr char kDetailPhaseRescueProbeNs[] =
+    "detail.phase.rescue_probe_ns";
 inline constexpr char kDetailPhaseSpCleanupNs[] =
     "detail.phase.sp_cleanup_ns";
 

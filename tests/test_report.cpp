@@ -354,6 +354,24 @@ TEST(Diff, EcoClosureCountsGateExactly) {
             report::Direction::kExact);
 }
 
+TEST(Diff, DetailRowCountsGateExactly) {
+  for (const char* metric : {"astar_searches", "astar_expansions",
+                             "sealed_fails", "escalations", "failed_subnets"}) {
+    const auto doc = [&](std::int64_t value) {
+      Json d = bench_doc(10, 1000.0, 99.0, 5.0);
+      d["rows"].items()[0]["metrics"][metric] = value;
+      return d;
+    };
+    const Json base = doc(100);
+    EXPECT_EQ(report::diff_reports(base, doc(100)).exit_code(),
+              report::kDiffOk)
+        << metric;
+    // Fewer is a change too: the detailed router no longer does the same.
+    EXPECT_TRUE(report::diff_reports(base, doc(99)).regressed()) << metric;
+    EXPECT_TRUE(report::diff_reports(base, doc(101)).regressed()) << metric;
+  }
+}
+
 TEST(Diff, SecondsAreLooselyGated) {
   const Json base = bench_doc(10, 1000.0, 99.0, 5.0);
   // +40%: inside the max(2 s abs, 50% rel) slack.

@@ -480,11 +480,13 @@ TEST(CorridorSearch, ExcludingCorridorFailsAndFullGridFallbackSucceeds) {
   const GCellId to{tiles_x - 1, tiles_y - 1};
 
   global::GlobalSearchScratch scratch;
-  // Admit only the start tile's row half: the goal is unreachable inside
-  // the corridor even though the region contains it.
+  // Admit the start tile's row half and the goal tile alone: both endpoints
+  // are in the corridor (search_tiles_astar's contract), but the goal is
+  // unreachable inside it.
   scratch.begin_corridor(static_cast<std::size_t>(tiles_x) * tiles_y);
   for (int tx = 0; tx < tiles_x / 2; ++tx)
     scratch.admit_tile(static_cast<std::size_t>(tx));
+  scratch.admit_tile(static_cast<std::size_t>(to.ty) * tiles_x + to.tx);
   EXPECT_FALSE(global::search_tiles_astar(graph, {}, from, to, full, scratch,
                                           nullptr, /*corridor=*/true));
   // The router's fallback: the same scratch, corridor off.
