@@ -2,7 +2,9 @@
 // instance (~16k tracks wide for S38417 — the paper's physical die at a
 // two-feature track pitch), route it with the coarsen–route–refine
 // multilevel pass, and record the congestion graph's resident bytes and the
-// process peak RSS alongside runtime and quality. A second row compares
+// process peak RSS alongside runtime and quality; the search work
+// (global.search.* counters) and the multilevel counters of that route are
+// gated exactly. A second row compares
 // multilevel against the flat schedule on the same instance. A third row,
 // `pipeline`, routes S5378@full_scale end to end (global, layer, track,
 // detail) and holds it to a fixed peak-RSS budget: the harness exits 1 when
@@ -122,7 +124,6 @@ int main(int argc, char** argv) {
     const auto subnets = netlist::decompose_all(circuit.netlist);
 
     global::GlobalRouterConfig ml_config;
-    ml_config.net_batch_size = 32;  // the pipeline's parallel batching default
     ml_config.multilevel = true;
 
     util::Timer timer;
@@ -137,6 +138,9 @@ int main(int argc, char** argv) {
     const auto counter_value = [](const char* key) {
       return telemetry::counter(key).value();
     };
+    const auto global_pops = counter_value(telemetry::keys::kGlobalSearchPops);
+    const auto pattern_hits =
+        counter_value(telemetry::keys::kGlobalPatternHits);
     const auto coarse_nets = counter_value(telemetry::keys::kMlCoarseNets);
     const auto corridor_hits = counter_value(telemetry::keys::kMlCorridorHits);
     const auto corridor_fallbacks =
@@ -153,6 +157,8 @@ int main(int argc, char** argv) {
       metrics["peak_rss_kb"] = static_cast<std::int64_t>(rss_kb);
       metrics["tiles_total"] = static_cast<std::int64_t>(tiles_total);
       metrics["storage_bytes"] = static_cast<std::int64_t>(storage_bytes);
+      metrics["global_pops"] = global_pops;
+      metrics["pattern_hits"] = pattern_hits;
       metrics["coarse_nets"] = coarse_nets;
       metrics["corridor_hits"] = corridor_hits;
       metrics["corridor_fallbacks"] = corridor_fallbacks;

@@ -220,7 +220,6 @@ void BM_GlobalRoutePass(benchmark::State& state) {
   const auto circuit = bench_common::generate(*spec);
   const auto subnets = netlist::decompose_all(circuit.netlist);
   global::GlobalRouterConfig config;
-  config.net_batch_size = 32;  // the pipeline's parallel batching default
   for (auto _ : state) {
     global::GlobalRouter router(circuit.grid, config);
     const auto result = router.route(subnets);
@@ -500,7 +499,6 @@ int main(int argc, char** argv) {
       const auto circuit = mebl::bench_common::generate(*spec);
       const auto subnets = mebl::netlist::decompose_all(circuit.netlist);
       mebl::global::GlobalRouterConfig config;
-      config.net_batch_size = 32;
       mebl::util::Timer timer;
       mebl::global::GlobalRouter router(circuit.grid, config);
       const auto result = router.route(subnets);

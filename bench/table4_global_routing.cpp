@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
 
     global::GlobalRouterConfig without;
     without.vertex_cost = false;
-    without.net_batch_size = 32;  // the pipeline's parallel batching default
     util::Timer timer;
     global::GlobalRouter router_wo(circuit.grid, without);
     const auto result_wo = router_wo.route(subnets, &pool);
@@ -37,7 +36,6 @@ int main(int argc, char** argv) {
 
     global::GlobalRouterConfig with;
     with.vertex_cost = true;
-    with.net_batch_size = 32;
     timer.reset();
     global::GlobalRouter router_w(circuit.grid, with);
     const auto result_w = router_w.route(subnets, &pool);

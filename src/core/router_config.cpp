@@ -17,19 +17,13 @@ assign::StageConfig RouterConfig::stage_config() const {
 }
 
 RouterConfig RouterConfig::stitch_aware() {
-  RouterConfig config;  // defaults are the stitch-aware settings
-  // Batch-synchronous global routing (the parallel unit of work). The batch
-  // size is part of the determinism contract — fixed here, never derived
-  // from the thread count.
-  config.global.net_batch_size = 32;
-  return config;
+  return RouterConfig{};  // defaults are the stitch-aware settings
 }
 
 RouterConfig RouterConfig::baseline() {
   RouterConfig config;
   config.global.stitch_aware_capacity = false;
   config.global.vertex_cost = false;
-  config.global.net_batch_size = 32;
   config.layer_algorithm = LayerAlgorithm::kMaxSpanningTree;
   config.track_algorithm = TrackAlgorithm::kBaseline;
   config.detail.astar.stitch_cost = false;

@@ -30,6 +30,15 @@ constexpr Coord kBaseMargin = 8;
 /// Each retry multiplies the margin by 4; after the last retry the subnet
 /// goes to the rip-up pass.
 constexpr int kMaxRetries = 1;
+
+/// Search box of escalation retry `retry` (1..kMaxRetries): the bbox
+/// inflated by kBaseMargin * 4^retry. The escalation and the SP memo's read
+/// set both take it from here, so the memo reads the box that is searched.
+Rect escalation_box(const netlist::Subnet& subnet, int retry,
+                    const Rect& extent) {
+  return subnet.bbox().inflated(kBaseMargin << (2 * retry)).intersect(extent);
+}
+
 /// Rip-up & reroute rounds for subnets that could not be routed — part of
 /// the second bottom-up pass of the framework (Fig. 6).
 constexpr int kRipupMaxRounds = 2;
@@ -520,10 +529,8 @@ void DetailedRouter::commit_attempt(std::size_t idx, Attempt&& attempt) {
 bool DetailedRouter::route_subnet_escalated(std::size_t idx) {
   const auto& subnet = (*subnets_)[idx];
   const Rect extent = grid_->routing_grid().extent();
-  Coord margin = kBaseMargin;
   for (int retry = 1; retry <= kMaxRetries; ++retry) {
-    margin *= 4;
-    const Rect box = subnet.bbox().inflated(margin).intersect(extent);
+    const Rect box = escalation_box(subnet, retry, extent);
     const BorrowedScratch scratch(grid_->routing_grid(), box);
     if (astar_.search(*scratch, subnet.net, subnet.a, subnet.b, box)) {
       commit_attempt(idx, Attempt{Attempt::Kind::kAstar, scratch->path});
@@ -755,15 +762,13 @@ std::vector<DetailedRouter::SubnetKey> DetailedRouter::sp_key(
 
 std::vector<Rect> DetailedRouter::sp_read_set(netlist::NetId net) const {
   const auto& rg = grid_->routing_grid();
-  Coord escalated = kBaseMargin;
-  for (int retry = 1; retry <= kMaxRetries; ++retry) escalated *= 4;
   std::vector<Rect> boxes;
   for (const std::size_t idx :
        subnets_of_net_[static_cast<std::size_t>(net)]) {
     const netlist::Subnet& subnet = (*subnets_)[idx];
     boxes.push_back(
         subnet_search_box(subnet, *plan_, idx, rg, kBaseMargin)
-            .hull(subnet.bbox().inflated(escalated).intersect(rg.extent())));
+            .hull(escalation_box(subnet, kMaxRetries, rg.extent())));
   }
   return boxes;
 }

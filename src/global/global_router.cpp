@@ -27,17 +27,17 @@ thread_local GlobalSearchScratch tl_scratch;  // NOLINT(cert-err58-cpp)
 /// Rip-up & reroute passes over subnets crossing overflowed resources.
 constexpr int kReroutePasses = 6;
 
-/// Walk the h/v edges of a committed tile path.
-template <typename Fn>
-void for_each_edge(const std::vector<GCellId>& tiles, Fn&& fn) {
-  for (std::size_t i = 0; i + 1 < tiles.size(); ++i) {
-    const GCellId a = tiles[i];
-    const GCellId b = tiles[i + 1];
-    if (a.ty == b.ty)
-      fn(true, std::min(a.tx, b.tx), a.ty);
-    else
-      fn(false, a.tx, std::min(a.ty, b.ty));
-  }
+/// Subnets per batch of the batch-synchronous schedule (DESIGN.md §7): each
+/// batch is searched in parallel against the congestion state frozen at the
+/// batch start, then its demands are merged in index order at the batch
+/// barrier. The value changes the routed result (staler congestion within a
+/// larger batch) but never its determinism, so it is part of the
+/// determinism contract: never derive it from the thread count.
+constexpr std::size_t kNetBatchSize = 32;
+
+/// Tile of pin position `p`.
+GCellId pin_tile(const grid::RoutingGrid& grid, geom::Point p) {
+  return {grid.tile_of_x(p.x), grid.tile_of_y(p.y)};
 }
 
 }  // namespace
@@ -80,74 +80,62 @@ void CongestionIndex::set_overflowed(std::size_t resource, bool now) {
     hits_[static_cast<std::size_t>(subnet)] += now ? 1 : -1;
 }
 
-void CongestionIndex::add_membership(std::size_t idx,
-                                     const std::vector<GCellId>& tiles) {
-  const auto join = [&](std::size_t r) {
-    crossers_[r].push_back(static_cast<std::int32_t>(idx));
-    if (overflowed_[r] != 0) ++hits_[idx];
+void CongestionIndex::set_membership(std::size_t idx,
+                                     const std::vector<GCellId>& tiles,
+                                     bool member) {
+  const auto visit = [&](std::size_t r) {
+    auto& list = crossers_[r];
+    if (member) {
+      list.push_back(static_cast<std::int32_t>(idx));
+    } else {
+      const auto it = std::find(list.begin(), list.end(),
+                                static_cast<std::int32_t>(idx));
+      assert(it != list.end());
+      *it = list.back();  // order is irrelevant: hits_ is a pure count
+      list.pop_back();
+    }
+    if (overflowed_[r] != 0) hits_[idx] += member ? 1 : -1;
   };
-  for_each_edge(tiles, [&](bool horizontal, int tx, int ty) {
-    join(horizontal ? h_id(tx, ty) : v_id(tx, ty));
-  });
+  for_each_demand(
+      tiles,
+      [&](bool horizontal, int tx, int ty) {
+        visit(horizontal ? h_id(tx, ty) : v_id(tx, ty));
+      },
+      [](int, int) {});
   // The rescan tested vertex overflow on *every* tile of the path (not just
   // the line-end tiles where demand was added), so membership covers them
   // all — pass-through tiles included.
   if (track_vertices_)
-    for (const GCellId t : tiles) join(vert_id(t.tx, t.ty));
-}
-
-void CongestionIndex::remove_membership(std::size_t idx,
-                                        const std::vector<GCellId>& tiles) {
-  const auto leave = [&](std::size_t r) {
-    auto& list = crossers_[r];
-    const auto it = std::find(list.begin(), list.end(),
-                              static_cast<std::int32_t>(idx));
-    assert(it != list.end());
-    *it = list.back();  // order is irrelevant: hits_ is a pure count
-    list.pop_back();
-    if (overflowed_[r] != 0) --hits_[idx];
-  };
-  for_each_edge(tiles, [&](bool horizontal, int tx, int ty) {
-    leave(horizontal ? h_id(tx, ty) : v_id(tx, ty));
-  });
-  if (track_vertices_)
-    for (const GCellId t : tiles) leave(vert_id(t.tx, t.ty));
+    for (const GCellId t : tiles) visit(vert_id(t.tx, t.ty));
 }
 
 void CongestionIndex::commit(RoutingGraph& graph, std::size_t idx,
                              const std::vector<GCellId>& tiles, int sign) {
   // Rip-up drops membership first so the overflow transitions below no
   // longer touch this subnet's own hit count.
-  if (sign < 0) remove_membership(idx, tiles);
-  for_each_edge(tiles, [&](bool horizontal, int tx, int ty) {
-    if (horizontal) {
-      graph.add_h_demand(tx, ty, sign);
-      set_overflowed(h_id(tx, ty),
-                     graph.h_demand(tx, ty) > graph.h_capacity(tx, ty));
-    } else {
-      graph.add_v_demand(tx, ty, sign);
-      set_overflowed(v_id(tx, ty),
-                     graph.v_demand(tx, ty) > graph.v_capacity(tx, ty));
-    }
-  });
-  // Vertical line ends: both end tiles of every maximal vertical run.
-  const auto add_vertex = [&](int tx, int ty) {
-    graph.add_vertex_demand(tx, ty, sign);
-    set_overflowed(vert_id(tx, ty),
-                   graph.vertex_demand(tx, ty) > graph.vertex_capacity(tx, ty));
-  };
-  std::size_t i = 0;
-  while (i + 1 < tiles.size()) {
-    if (tiles[i].tx == tiles[i + 1].tx) {  // vertical run starts
-      const std::size_t run_start = i;
-      while (i + 1 < tiles.size() && tiles[i].tx == tiles[i + 1].tx) ++i;
-      add_vertex(tiles[run_start].tx, tiles[run_start].ty);
-      add_vertex(tiles[i].tx, tiles[i].ty);
-    } else {
-      ++i;
-    }
-  }
-  if (sign > 0) add_membership(idx, tiles);
+  if (sign < 0) set_membership(idx, tiles, false);
+  // Edge demand per step; line-end demand at both end tiles of every
+  // maximal vertical run.
+  for_each_demand(
+      tiles,
+      [&](bool horizontal, int tx, int ty) {
+        if (horizontal) {
+          graph.add_h_demand(tx, ty, sign);
+          set_overflowed(h_id(tx, ty),
+                         graph.h_demand(tx, ty) > graph.h_capacity(tx, ty));
+        } else {
+          graph.add_v_demand(tx, ty, sign);
+          set_overflowed(v_id(tx, ty),
+                         graph.v_demand(tx, ty) > graph.v_capacity(tx, ty));
+        }
+      },
+      [&](int tx, int ty) {
+        graph.add_vertex_demand(tx, ty, sign);
+        set_overflowed(
+            vert_id(tx, ty),
+            graph.vertex_demand(tx, ty) > graph.vertex_capacity(tx, ty));
+      });
+  if (sign > 0) set_membership(idx, tiles, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,26 +157,42 @@ GlobalRouter::GlobalRouter(const grid::RoutingGrid& grid,
       ml_corridor_fallbacks_counter_(
           &telemetry::counter(telemetry::keys::kMlCorridorFallbacks)) {}
 
-std::vector<GCellId> GlobalRouter::search(GCellId from, GCellId to,
-                                          const Rect& region,
-                                          double vertex_weight,
-                                          bool corridor) const {
+std::vector<GCellId> GlobalRouter::search(
+    GCellId from, GCellId to, const Rect& region, double vertex_weight,
+    const std::vector<GCellId>* corridor) const {
   if (from == to) return {from};
   GlobalSearchScratch& scratch = tl_scratch;
   const GlobalSearchParams params{kTurnCost, config_.vertex_cost,
                                   vertex_weight};
   // Fast path: a provably-optimal one-bend candidate skips the heap (and
   // the scratch) entirely. An accepted candidate is a *whole-grid* optimum,
-  // so corridor confinement never needs to reject it.
+  // so neither the corridor nor the region needs to reject it.
   if (try_pattern_route(graph_, params, from, to, scratch.path)) {
     pattern_hits_counter_->add(1);
+    if (corridor != nullptr) ml_corridor_hits_counter_->add(1);
     return {scratch.path.begin(), scratch.path.end()};
   }
-  const bool found = search_tiles_astar(graph_, params, from, to, region,
-                                        scratch, nullptr, corridor);
-  pops_counter_->add(scratch.last_pops);
-  if (scratch.last_reused) scratch_reuses_counter_->add(1);
-  if (!found) return {};
+  const auto astar = [&](const Rect& box, bool in_corridor) {
+    const bool ok = search_tiles_astar(graph_, params, from, to, box, scratch,
+                                       nullptr, in_corridor);
+    pops_counter_->add(scratch.last_pops);
+    if (scratch.last_reused) scratch_reuses_counter_->add(1);
+    return ok;
+  };
+  if (corridor != nullptr) {
+    // Multilevel refinement: stamp the corridor into this thread's scratch
+    // (the mask lives there, like the search arrays) and search inside it.
+    const Rect corridor_box =
+        stamp_corridor(*corridor, kCoarsenFactor, kCorridorMargin,
+                       graph_.tiles_x(), graph_.tiles_y(), scratch);
+    if (astar(corridor_box, /*in_corridor=*/true)) {
+      ml_corridor_hits_counter_->add(1);
+      return {scratch.path.begin(), scratch.path.end()};
+    }
+    ml_corridor_fallbacks_counter_->add(1);
+  }
+  const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
+  if (!astar(region, false) && !astar(full, false)) return {};
   return {scratch.path.begin(), scratch.path.end()};
 }
 
@@ -208,11 +212,10 @@ std::vector<std::vector<GCellId>> GlobalRouter::plan_coarse(
     const auto span =
         std::max(bbox.xhi - bbox.xlo, bbox.yhi - bbox.ylo);
     if (span < kMinCoarseSpan) continue;
-    const auto& subnet = subnets[idx];
-    const GCellId cfrom{grid_->tile_of_x(subnet.a.x) / kCoarsenFactor,
-                        grid_->tile_of_y(subnet.a.y) / kCoarsenFactor};
-    const GCellId cto{grid_->tile_of_x(subnet.b.x) / kCoarsenFactor,
-                      grid_->tile_of_y(subnet.b.y) / kCoarsenFactor};
+    const GCellId from = pin_tile(*grid_, subnets[idx].a);
+    const GCellId to = pin_tile(*grid_, subnets[idx].b);
+    const GCellId cfrom{from.tx / kCoarsenFactor, from.ty / kCoarsenFactor};
+    const GCellId cto{to.tx / kCoarsenFactor, to.ty / kCoarsenFactor};
     std::vector<GCellId> cells;
     if (try_pattern_route(coarse, params, cfrom, cto, scratch.path)) {
       cells.assign(scratch.path.begin(), scratch.path.end());
@@ -233,20 +236,44 @@ void GlobalRouter::commit(std::size_t idx, const TilePath& path, int sign) {
   congestion_.commit(graph_, idx, path.tiles, sign);
 }
 
-void GlobalRouter::run_phase(
-    exec::ThreadPool* pool, const exec::Cancellation* cancel, std::size_t lo,
-    std::size_t hi, const std::function<void(std::size_t)>& body) const {
-  // The body only reads the congestion graph (frozen at the batch start)
-  // and writes per-index slots, so the outcome is identical for any thread
-  // count — demands are merged afterwards, in index order, by the
-  // sequential barrier code at each call site.
-  if (pool != nullptr) {
-    pool->parallel_for(lo, hi, body, cancel);
-  } else {
-    for (std::size_t i = lo;
-         i < hi && !(cancel != nullptr && cancel->stop_requested()); ++i)
-      body(i);
+std::size_t GlobalRouter::route_batches(
+    std::span<const std::size_t> order, bool rip_first, GlobalResult& result,
+    exec::ThreadPool* pool, const exec::Cancellation* cancel,
+    const std::function<std::vector<GCellId>(std::size_t)>& find,
+    const std::function<void(std::size_t)>& after_batch) {
+  const auto stop_requested = [&] {
+    return cancel != nullptr && cancel->stop_requested();
+  };
+  std::size_t committed = 0;
+  for (std::size_t lo = 0; lo < order.size() && !stop_requested();
+       lo += kNetBatchSize) {
+    const auto batch = order.subspan(lo, std::min(kNetBatchSize,
+                                                  order.size() - lo));
+    if (rip_first)
+      for (const std::size_t idx : batch) commit(idx, result.paths[idx], -1);
+    // The searches only read the congestion graph (frozen until the
+    // barrier) and write their own path slot, so the outcome is identical
+    // for any thread count.
+    const auto search_one = [&](std::size_t i) {
+      result.paths[batch[i]].tiles = find(batch[i]);
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(0, batch.size(), search_one, cancel);
+    } else {
+      for (std::size_t i = 0; i < batch.size() && !stop_requested(); ++i)
+        search_one(i);
+    }
+    // Batch barrier: merge the batch's demands in index order.
+    std::size_t batch_committed = 0;
+    for (const std::size_t idx : batch)
+      if (!result.paths[idx].tiles.empty()) {
+        commit(idx, result.paths[idx], +1);
+        ++batch_committed;
+      }
+    committed += batch_committed;
+    if (after_batch) after_batch(batch_committed);
   }
+  return committed;
 }
 
 void GlobalRouter::run_reroute_passes(GlobalResult& result,
@@ -258,10 +285,6 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
   const auto stop_requested = [&] {
     return cancel != nullptr && cancel->stop_requested();
   };
-  const std::size_t batch =
-      config_.net_batch_size > 0
-          ? static_cast<std::size_t>(config_.net_batch_size)
-          : 1;
   const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
   telemetry::Counter& rerouted_counter =
       telemetry::counter(telemetry::keys::kGlobalRerouted);
@@ -279,56 +302,43 @@ void GlobalRouter::run_reroute_passes(GlobalResult& result,
     // config_: search() runs concurrently within a batch, and an in-place
     // write would also leak a stale weight on early exit.
     const double pass_vertex_weight = kVertexCostWeight * (1 << (pass + 1));
-    int rerouted = 0;
+    const auto reroute = [&](std::size_t idx) {
+      const TilePath& path = result.paths[idx];
+      // Search within the current path's neighbourhood; detours of a few
+      // tiles suffice to move line ends out of hot tiles.
+      const GCellId seed = path.tiles.front();
+      Rect region{seed.tx, seed.ty, seed.tx, seed.ty};
+      for (const GCellId t : path.tiles)
+        region = region.hull(Rect{t.tx, t.ty, t.tx, t.ty});
+      region = region.inflated(4).intersect(full);
+      auto tiles = search(path.tiles.front(), path.tiles.back(), region,
+                          pass_vertex_weight);
+      // No path at all: keep (and re-commit) the current one.
+      if (tiles.empty()) return path.tiles;
+      return tiles;
+    };
+    std::size_t rerouted = 0;
     // Batch-synchronous rip-up & reroute: walk the paths in index order,
-    // gathering the next `batch` subnets that are congested against the
-    // *live* demand state (an O(1) dirty-set lookup: the congestion index
-    // tracks overflow transitions as earlier batches commit); rip the whole
-    // gathered batch up, search its replacements in parallel against the
-    // post-rip-up state, then merge the new demands in index order at the
-    // barrier. Batch size 1 reproduces the classic one-net-at-a-time
-    // schedule exactly.
+    // gathering the next kNetBatchSize subnets that are congested against
+    // the *live* demand state (an O(1) dirty-set lookup: the congestion
+    // index tracks overflow transitions as earlier batches commit); the
+    // batch loop rips the gathered batch up, searches its replacements in
+    // parallel against the post-rip-up state, and merges the new demands in
+    // index order at the barrier.
     std::size_t cursor = 0;
     std::vector<std::size_t> gathered;
-    std::vector<std::vector<GCellId>> fresh;
     while (cursor < result.paths.size() && !stop_requested()) {
       gathered.clear();
-      while (cursor < result.paths.size() && gathered.size() < batch) {
-        const TilePath& path = result.paths[cursor];
-        if (!path.tiles.empty() && congestion_.congested(cursor))
+      while (cursor < result.paths.size() && gathered.size() < kNetBatchSize) {
+        if (!result.paths[cursor].tiles.empty() &&
+            congestion_.congested(cursor))
           gathered.push_back(cursor);
         ++cursor;
       }
-      if (gathered.empty()) continue;
-      for (const std::size_t idx : gathered)
-        commit(idx, result.paths[idx], -1);
-      fresh.assign(gathered.size(), {});
-      run_phase(pool, cancel, 0, gathered.size(), [&](std::size_t i) {
-        const TilePath& path = result.paths[gathered[i]];
-        // Search within the current path's neighbourhood; detours of a few
-        // tiles suffice to move line ends out of hot tiles.
-        const GCellId seed = path.tiles.front();
-        Rect region{seed.tx, seed.ty, seed.tx, seed.ty};
-        for (const GCellId t : path.tiles)
-          region = region.hull(Rect{t.tx, t.ty, t.tx, t.ty});
-        region = region.inflated(4).intersect(full);
-        fresh[i] = search(path.tiles.front(), path.tiles.back(), region,
-                          pass_vertex_weight);
-        // A hull-region search that fails must not silently re-commit the
-        // congested path: fall back to the full grid, exactly like the
-        // initial pass.
-        if (fresh[i].empty())
-          fresh[i] = search(path.tiles.front(), path.tiles.back(), full,
-                            pass_vertex_weight);
-      });
-      for (std::size_t i = 0; i < gathered.size(); ++i) {
-        TilePath& path = result.paths[gathered[i]];
-        if (!fresh[i].empty()) path.tiles = std::move(fresh[i]);
-        commit(gathered[i], path, +1);
-        ++rerouted;
-      }
+      rerouted += route_batches(gathered, /*rip_first=*/true, result, pool,
+                                cancel, reroute);
     }
-    rerouted_counter.add(rerouted);
+    rerouted_counter.add(static_cast<std::int64_t>(rerouted));
     util::log_info() << "global reroute pass " << pass << ": " << rerouted
                      << " subnets";
     if (rerouted == 0) break;
@@ -357,9 +367,6 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
   const auto stop_requested = [&] {
     return cancel != nullptr && cancel->stop_requested();
   };
-  const std::size_t batch = config_.net_batch_size > 0
-                                ? static_cast<std::size_t>(config_.net_batch_size)
-                                : 1;
 
   // Bottom-up multilevel schedule: bucket subnets by the level at which
   // they become local, then route level by level.
@@ -386,55 +393,26 @@ GlobalResult GlobalRouter::route(const std::vector<netlist::Subnet>& subnets,
 
   const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
   std::size_t committed = 0;
+  const auto report_progress = [&](std::size_t batch_committed) {
+    committed += batch_committed;
+    if (progress) progress(committed, subnets.size());
+  };
   for (int level = 0; level < scheduler.num_levels() && !stop_requested();
        ++level) {
     TELEMETRY_SPAN("global.level");
-    const auto& bucket = buckets[static_cast<std::size_t>(level)];
-    for (std::size_t lo = 0; lo < bucket.size() && !stop_requested();
-         lo += batch) {
-      const std::size_t hi = std::min(bucket.size(), lo + batch);
-      run_phase(pool, cancel, lo, hi, [&](std::size_t i) {
-        const std::size_t idx = bucket[i];
-        const auto& subnet = subnets[idx];
-        TilePath& path = result.paths[idx];
-        const GCellId from{grid_->tile_of_x(subnet.a.x),
-                           grid_->tile_of_y(subnet.a.y)};
-        const GCellId to{grid_->tile_of_x(subnet.b.x),
-                         grid_->tile_of_y(subnet.b.y)};
-        if (!corridors.empty() && !corridors[idx].empty()) {
-          // Refinement: stamp this subnet's corridor into the calling
-          // worker's scratch (the mask is thread-local, like the search
-          // arrays) and search inside it.
-          const Rect corridor_bbox =
-              stamp_corridor(corridors[idx], kCoarsenFactor, kCorridorMargin,
-                             graph_.tiles_x(), graph_.tiles_y(), tl_scratch);
-          path.tiles = search(from, to, corridor_bbox,
-                              kVertexCostWeight, /*corridor=*/true);
-          if (!path.tiles.empty())
-            ml_corridor_hits_counter_->add(1);
-          else
-            ml_corridor_fallbacks_counter_->add(1);
-        }
-        if (path.tiles.empty()) {
-          // Allow one tile of margin around the cluster for detours.
-          const Rect region = scheduler.cluster_region(tile_bboxes[idx], level)
-                                  .inflated(1)
-                                  .intersect(full);
-          path.tiles = search(from, to, region, kVertexCostWeight);
-        }
-        if (path.tiles.empty())
-          path.tiles = search(from, to, full, kVertexCostWeight);
-      });
-      // Batch barrier: merge the batch's demands in index order.
-      for (std::size_t i = lo; i < hi; ++i) {
-        const TilePath& path = result.paths[bucket[i]];
-        if (!path.tiles.empty()) {
-          commit(bucket[i], path, +1);
-          ++committed;
-        }
-      }
-      if (progress) progress(committed, subnets.size());
-    }
+    const auto route_one = [&](std::size_t idx) {
+      // Allow one tile of margin around the cluster for detours.
+      const Rect region = scheduler.cluster_region(tile_bboxes[idx], level)
+                              .inflated(1)
+                              .intersect(full);
+      const bool planned = !corridors.empty() && !corridors[idx].empty();
+      return search(pin_tile(*grid_, subnets[idx].a),
+                    pin_tile(*grid_, subnets[idx].b), region,
+                    kVertexCostWeight, planned ? &corridors[idx] : nullptr);
+    };
+    route_batches(buckets[static_cast<std::size_t>(level)],
+                  /*rip_first=*/false, result, pool, cancel, route_one,
+                  report_progress);
   }
 
   run_reroute_passes(result, pool, cancel);
@@ -501,39 +479,23 @@ void GlobalRouter::reroute_subset(const std::vector<netlist::Subnet>& subnets,
                                   const exec::Cancellation* cancel) {
   TELEMETRY_SPAN("global.eco");
   const Rect full{0, 0, graph_.tiles_x() - 1, graph_.tiles_y() - 1};
-  const std::size_t batch =
-      config_.net_batch_size > 0
-          ? static_cast<std::size_t>(config_.net_batch_size)
-          : 1;
   // Batch-synchronous initial routing of the closure, in ascending index
   // order against the live demand of the untouched remainder. The region is
   // the pin tiles' bbox plus a 4-tile margin, with a full-grid fallback (the
   // reroute passes instead search the hull of the path's current tiles);
   // both ECO compare paths run this same code, which is all the
   // bit-identity check needs.
-  for (std::size_t lo = 0; lo < dirty.size(); lo += batch) {
-    const std::size_t hi = std::min(dirty.size(), lo + batch);
-    if (cancel != nullptr && cancel->stop_requested()) break;
-    run_phase(pool, cancel, lo, hi, [&](std::size_t i) {
-      const std::size_t idx = dirty[i];
-      const auto& subnet = subnets[idx];
-      TilePath& path = result.paths[idx];
-      const GCellId from{grid_->tile_of_x(subnet.a.x),
-                         grid_->tile_of_y(subnet.a.y)};
-      const GCellId to{grid_->tile_of_x(subnet.b.x),
-                       grid_->tile_of_y(subnet.b.y)};
-      const Rect region = Rect{std::min(from.tx, to.tx), std::min(from.ty, to.ty),
-                               std::max(from.tx, to.tx), std::max(from.ty, to.ty)}
-                              .inflated(4)
-                              .intersect(full);
-      path.tiles = search(from, to, region, kVertexCostWeight);
-      if (path.tiles.empty())
-        path.tiles = search(from, to, full, kVertexCostWeight);
-    });
-    for (std::size_t i = lo; i < hi; ++i)
-      if (!result.paths[dirty[i]].tiles.empty())
-        commit(dirty[i], result.paths[dirty[i]], +1);
-  }
+  route_batches(dirty, /*rip_first=*/false, result, pool, cancel,
+                [&](std::size_t idx) {
+                  const GCellId from = pin_tile(*grid_, subnets[idx].a);
+                  const GCellId to = pin_tile(*grid_, subnets[idx].b);
+                  const Rect region =
+                      Rect{std::min(from.tx, to.tx), std::min(from.ty, to.ty),
+                           std::max(from.tx, to.tx), std::max(from.ty, to.ty)}
+                          .inflated(4)
+                          .intersect(full);
+                  return search(from, to, region, kVertexCostWeight);
+                });
   run_reroute_passes(result, pool, cancel);
   finalize_totals(result);
 }

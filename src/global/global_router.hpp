@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "global/multilevel.hpp"
@@ -29,16 +30,6 @@ struct GlobalRouterConfig {
   /// Price line-end (vertex) congestion, eq. (2)-(3). Off = the "w/o line
   /// end consideration" column of Table IV.
   bool vertex_cost = true;
-  /// Subnets per batch in the batch-synchronous schedule: each batch is
-  /// searched in parallel against the congestion state frozen at the batch
-  /// start, then its demands are merged in index order at the batch
-  /// barrier. 1 = classic sequential net-by-net routing (every net sees
-  /// every earlier net's congestion). Larger batches are the parallel unit
-  /// of work; the value changes the routed result slightly (staler
-  /// congestion within a batch) but never its determinism — for a fixed
-  /// batch size the result is bit-identical for any thread count. Part of
-  /// the determinism contract: never derive this from the thread count.
-  int net_batch_size = 1;
   /// Coarsen–route–refine multilevel pass for long subnets (DESIGN.md §15).
   bool multilevel = false;
 };
@@ -104,10 +95,10 @@ class CongestionIndex {
   }
 
   void set_overflowed(std::size_t resource, bool now);
-  void add_membership(std::size_t idx,
-                      const std::vector<grid::GCellId>& tiles);
-  void remove_membership(std::size_t idx,
-                         const std::vector<grid::GCellId>& tiles);
+  /// Add (`member`) or remove subnet `idx` as a crosser of every resource
+  /// of `tiles`, adjusting its hit count.
+  void set_membership(std::size_t idx,
+                      const std::vector<grid::GCellId>& tiles, bool member);
 
   int tiles_x_ = 0;
   int tiles_y_ = 0;
@@ -188,22 +179,20 @@ class GlobalRouter {
   [[nodiscard]] const grid::RoutingGrid& grid() const noexcept { return *grid_; }
 
  private:
-  /// Shortest-path search for one subnet confined to `region` (in tile
-  /// coordinates), pricing line-end congestion at `vertex_weight` (the
+  /// The one search entry of the global passes: the path from tile `from`
+  /// to tile `to`, pricing line-end congestion at `vertex_weight` (the
   /// reroute passes escalate it per pass without mutating the config, so
   /// concurrent searches of one batch all see the same weight). Tries the
-  /// pattern-route fast path, then the scratch A* kernel on the calling
-  /// worker's thread-local scratch. Returns an empty vector when no path
-  /// exists.
-  /// With `corridor = true` the A* kernel is confined to the corridor mask
-  /// the caller stamped into this thread's scratch (multilevel refinement);
-  /// the pattern fast path still runs first, since an accepted pattern
-  /// candidate is a whole-grid optimum.
-  [[nodiscard]] std::vector<grid::GCellId> search(grid::GCellId from,
-                                                  grid::GCellId to,
-                                                  const geom::Rect& region,
-                                                  double vertex_weight,
-                                                  bool corridor = false) const;
+  /// pattern-route fast path (an accepted candidate is a whole-grid
+  /// optimum), then the scratch A* kernel on the calling worker's
+  /// thread-local scratch: inside `corridor` when one is given (the
+  /// subnet's coarse path from plan_coarse, stamped into that scratch
+  /// here), then inside `region`, then on the full grid. Returns an empty
+  /// vector when no path exists.
+  [[nodiscard]] std::vector<grid::GCellId> search(
+      grid::GCellId from, grid::GCellId to, const geom::Rect& region,
+      double vertex_weight,
+      const std::vector<grid::GCellId>* corridor = nullptr) const;
 
   /// Sequential coarse pass of the multilevel schedule: route every subnet
   /// whose tile bbox spans >= kMinCoarseSpan on the coarsened graph
@@ -219,11 +208,20 @@ class GlobalRouter {
   /// the congestion index move together.
   void commit(std::size_t idx, const TilePath& path, int sign);
 
-  /// Run `body(i)` for i in [lo, hi) on the pool (or inline when null),
-  /// honouring `cancel`. The parallel unit of every batch-synchronous phase.
-  void run_phase(exec::ThreadPool* pool, const exec::Cancellation* cancel,
-                 std::size_t lo, std::size_t hi,
-                 const std::function<void(std::size_t)>& body) const;
+  /// The batch-synchronous schedule (DESIGN.md §7), the one loop of every
+  /// global pass: per batch of kNetBatchSize indices of `order`, rip the
+  /// batch's paths up when `rip_first`, set each path to find(idx) in
+  /// parallel (inline when `pool` is null) against the graph frozen at the
+  /// batch start, commit the non-empty paths in index order, and call
+  /// after_batch with their count. `cancel` stops further batches and
+  /// unstarted searches; a ripped batch is re-committed either way.
+  /// Returns the number of paths committed.
+  std::size_t route_batches(
+      std::span<const std::size_t> order, bool rip_first,
+      GlobalResult& result, exec::ThreadPool* pool,
+      const exec::Cancellation* cancel,
+      const std::function<std::vector<grid::GCellId>(std::size_t)>& find,
+      const std::function<void(std::size_t)>& after_batch = {});
 
   /// The negotiated-congestion rip-up & reroute passes over `result`,
   /// shared by route() and reroute_subset().

@@ -100,27 +100,15 @@ RoutingGraph coarsen_graph(const RoutingGraph& fine, int factor) {
 
 void commit_coarse_path(RoutingGraph& coarse,
                         const std::vector<grid::GCellId>& cells, int sign) {
-  for (std::size_t i = 0; i + 1 < cells.size(); ++i) {
-    const grid::GCellId a = cells[i];
-    const grid::GCellId b = cells[i + 1];
-    if (a.ty == b.ty)
-      coarse.add_h_demand(std::min(a.tx, b.tx), a.ty, sign);
-    else
-      coarse.add_v_demand(a.tx, std::min(a.ty, b.ty), sign);
-  }
-  // Line ends at both end cells of every maximal vertical run, mirroring
-  // CongestionIndex::commit.
-  std::size_t i = 0;
-  while (i + 1 < cells.size()) {
-    if (cells[i].tx == cells[i + 1].tx) {
-      const std::size_t run_start = i;
-      while (i + 1 < cells.size() && cells[i].tx == cells[i + 1].tx) ++i;
-      coarse.add_vertex_demand(cells[run_start].tx, cells[run_start].ty, sign);
-      coarse.add_vertex_demand(cells[i].tx, cells[i].ty, sign);
-    } else {
-      ++i;
-    }
-  }
+  for_each_demand(
+      cells,
+      [&](bool horizontal, int tx, int ty) {
+        if (horizontal)
+          coarse.add_h_demand(tx, ty, sign);
+        else
+          coarse.add_v_demand(tx, ty, sign);
+      },
+      [&](int tx, int ty) { coarse.add_vertex_demand(tx, ty, sign); });
 }
 
 geom::Rect stamp_corridor(const std::vector<grid::GCellId>& coarse_cells,

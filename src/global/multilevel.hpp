@@ -75,11 +75,9 @@ inline constexpr int kCorridorMargin = 2;
 /// coarse-level contention.
 [[nodiscard]] RoutingGraph coarsen_graph(const RoutingGraph& fine, int factor);
 
-/// Commit (+1) or rip (-1) a coarse tile path's demand onto `coarse`: edge
-/// demand per step and line-end demand at both end cells of every maximal
-/// vertical run — the same bookkeeping CongestionIndex::commit applies to
-/// fine paths, minus the reverse index (the sequential coarse pass needs
-/// none).
+/// Commit (+1) or rip (-1) a coarse tile path's demand onto `coarse`: the
+/// for_each_demand walk CongestionIndex::commit applies to fine paths,
+/// minus the reverse index (the sequential coarse pass needs none).
 void commit_coarse_path(RoutingGraph& coarse,
                         const std::vector<grid::GCellId>& cells, int sign);
 

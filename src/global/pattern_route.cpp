@@ -10,10 +10,6 @@ using grid::GCellId;
 
 namespace {
 
-constexpr int kDirStart = 0;
-constexpr int kDirH = 1;
-constexpr int kDirV = 2;
-
 /// Guard against double-summation slop: an alternative path's A*-computed
 /// cost can round below its real-number lower bound by at most ~n·ulp,
 /// orders of magnitude under this margin for any realistic tile grid.
@@ -22,7 +18,7 @@ constexpr double kFloatMargin = 1e-6;
 int step_toward(int cur, int target) { return target > cur ? 1 : -1; }
 
 /// Walk one axis-aligned leg from (tx,ty) to `target`, accumulating the
-/// kernel's per-step cost into `cost` and tracking the entry direction.
+/// kernel's step_cost into `cost` and tracking the entry direction.
 /// Passes `goal` for the vertical-arrival line-end charge. When `emit` is
 /// non-null the traversed tiles (excluding the leg's start) are appended.
 void walk_leg(const RoutingGraph& graph, const GlobalSearchParams& params,
@@ -32,22 +28,7 @@ void walk_leg(const RoutingGraph& graph, const GlobalSearchParams& params,
     const bool horizontal = tx != target.tx;
     const int nx = horizontal ? tx + step_toward(tx, target.tx) : tx;
     const int ny = horizontal ? ty : ty + step_toward(ty, target.ty);
-    double step = 1.0;
-    if (horizontal)
-      step += graph.h_cost(std::min(tx, nx), ty);
-    else
-      step += graph.v_cost(tx, std::min(ty, ny));
-    if (dir != kDirStart && ((dir == kDirH) != horizontal))
-      step += params.turn_cost;
-    if (params.vertex_cost) {
-      if (!horizontal && dir != kDirV)
-        step += params.vertex_weight * graph.vertex_cost(tx, ty);
-      if (horizontal && dir == kDirV)
-        step += params.vertex_weight * graph.vertex_cost(tx, ty);
-      if (!horizontal && nx == goal.tx && ny == goal.ty)
-        step += params.vertex_weight * graph.vertex_cost(nx, ny);
-    }
-    cost = cost + step;
+    cost = cost + step_cost(graph, params, tx, ty, dir, nx, ny, goal);
     tx = nx;
     ty = ny;
     dir = horizontal ? kDirH : kDirV;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -169,5 +170,33 @@ class RoutingGraph {
   int total_edge_overflow_ = 0;
   int total_vertex_overflow_ = 0;
 };
+
+/// Walk the demand a tile path puts on the graph: on_edge(horizontal, tx, ty)
+/// for the h- or v-edge of every step, in path order, then
+/// on_line_end(tx, ty) at both end tiles of every maximal vertical run. The
+/// one walk behind CongestionIndex::commit and commit_coarse_path.
+template <typename EdgeFn, typename LineEndFn>
+void for_each_demand(const std::vector<grid::GCellId>& tiles, EdgeFn&& on_edge,
+                     LineEndFn&& on_line_end) {
+  for (std::size_t i = 0; i + 1 < tiles.size(); ++i) {
+    const grid::GCellId a = tiles[i];
+    const grid::GCellId b = tiles[i + 1];
+    if (a.ty == b.ty)
+      on_edge(true, std::min(a.tx, b.tx), a.ty);
+    else
+      on_edge(false, a.tx, std::min(a.ty, b.ty));
+  }
+  std::size_t i = 0;
+  while (i + 1 < tiles.size()) {
+    if (tiles[i].tx == tiles[i + 1].tx) {  // a vertical run starts
+      const std::size_t run_start = i;
+      while (i + 1 < tiles.size() && tiles[i].tx == tiles[i + 1].tx) ++i;
+      on_line_end(tiles[run_start].tx, tiles[run_start].ty);
+      on_line_end(tiles[i].tx, tiles[i].ty);
+    } else {
+      ++i;
+    }
+  }
+}
 
 }  // namespace mebl::global

@@ -13,13 +13,6 @@ using grid::GCellId;
 
 namespace {
 
-/// Search state: tile plus the orientation of the move that entered it
-/// (0 = start, 1 = horizontal, 2 = vertical). Direction matters because
-/// line-end (vertex) costs are incurred where vertical runs start and end.
-constexpr int kDirStart = 0;
-constexpr int kDirH = 1;
-constexpr int kDirV = 2;
-
 /// Min-heap order on f, exactly the comparator of the old
 /// std::priority_queue<HeapEntry, vector, std::greater<>> (which compared
 /// only f), so pop order — ties included — is bit-for-bit unchanged.
@@ -132,27 +125,7 @@ bool search_tiles_astar(const RoutingGraph& graph,
       const int ny = ty + kDy[m];
       if (!in_region(nx, ny)) continue;
       const bool horizontal = m < 2;
-      double step = 1.0;
-      // Edge congestion: a cached-row lookup, bit-identical to direct psi.
-      if (horizontal)
-        step += graph.h_cost(std::min(tx, nx), ty);
-      else
-        step += graph.v_cost(tx, std::min(ty, ny));
-      // Bend penalty.
-      if (dir != kDirStart && ((dir == kDirH) != horizontal))
-        step += params.turn_cost;
-      // Line-end (vertex) congestion: a vertical run starts at the current
-      // tile when a vertical move follows a horizontal one (or the start),
-      // and ends there when a horizontal move follows a vertical one.
-      if (params.vertex_cost) {
-        if (!horizontal && dir != kDirV)
-          step += params.vertex_weight * graph.vertex_cost(tx, ty);
-        if (horizontal && dir == kDirV)
-          step += params.vertex_weight * graph.vertex_cost(tx, ty);
-        // Arriving at the target vertically leaves a line end there.
-        if (!horizontal && nx == to.tx && ny == to.ty)
-          step += params.vertex_weight * graph.vertex_cost(nx, ny);
-      }
+      const double step = step_cost(graph, params, tx, ty, dir, nx, ny, to);
       const int next = state_of(nx, ny, horizontal ? kDirH : kDirV);
       const double ng = top.g + step;
       if (ng < dist_of(next)) {

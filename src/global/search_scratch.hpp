@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,46 @@ struct GlobalSearchParams {
   bool vertex_cost = true;
   double vertex_weight = kVertexCostWeight;
 };
+
+/// Direction of the move that entered a search state: 0 = the start tile,
+/// 1 = horizontal, 2 = vertical. Direction matters because line-end
+/// (vertex) costs are incurred where vertical runs start and end.
+inline constexpr int kDirStart = 0;
+inline constexpr int kDirH = 1;
+inline constexpr int kDirV = 2;
+
+/// Cost of one kernel step (paper eqs. 1-3) from tile (tx,ty), entered with
+/// direction `dir`, to its 4-neighbour (nx,ny) on the way to `goal`. The A*
+/// kernel and the pattern walk both call it, so an accepted pattern
+/// candidate's cost is bit-identical to the g-value A* computes along the
+/// same path. Inline, so it compiles into the kernel loop.
+inline double step_cost(const RoutingGraph& graph,
+                        const GlobalSearchParams& params, int tx, int ty,
+                        int dir, int nx, int ny, grid::GCellId goal) {
+  const bool horizontal = ny == ty;
+  double step = 1.0;
+  // Edge congestion: a cached-row lookup, bit-identical to direct psi.
+  if (horizontal)
+    step += graph.h_cost(std::min(tx, nx), ty);
+  else
+    step += graph.v_cost(tx, std::min(ty, ny));
+  // Bend penalty.
+  if (dir != kDirStart && ((dir == kDirH) != horizontal))
+    step += params.turn_cost;
+  // Line-end (vertex) congestion: a vertical run starts at the current tile
+  // when a vertical move follows a horizontal one (or the start), and ends
+  // there when a horizontal move follows a vertical one.
+  if (params.vertex_cost) {
+    if (!horizontal && dir != kDirV)
+      step += params.vertex_weight * graph.vertex_cost(tx, ty);
+    if (horizontal && dir == kDirV)
+      step += params.vertex_weight * graph.vertex_cost(tx, ty);
+    // Arriving at the goal vertically leaves a line end there.
+    if (!horizontal && nx == goal.tx && ny == goal.ty)
+      step += params.vertex_weight * graph.vertex_cost(nx, ny);
+  }
+  return step;
+}
 
 /// Per-search scratch state of the global-routing kernel: epoch-stamped
 /// dist/parent arrays sized for the *full* tile grid (region searches and

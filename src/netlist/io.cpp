@@ -1,5 +1,6 @@
 #include "netlist/io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -9,16 +10,26 @@ namespace mebl::netlist {
 
 namespace {
 
-/// Largest accepted layout extent per axis, in tracks: 4x the widest
-/// paper-scale die (S38417@full_scale, 15 900 x 8 610 tracks). A header is
-/// a few bytes, but the stitch plan, the tile grid and the detail grid all
-/// grow with the extent, so an unchecked one makes a tiny hostile file
-/// allocate without bound.
+/// Largest accepted layout extent per axis, in tracks: 3.6x the widest
+/// ISCAS die at full scale (S38584@full_scale, 17 990 x 9 360 tracks; the
+/// MCNC Struct and Primary dies are wider than the cap at full scale). A
+/// header is a few bytes, but the stitch plan, the tile grid and the detail
+/// grid all grow with the extent, so an unchecked one makes a tiny hostile
+/// file allocate without bound.
 constexpr geom::Coord kMaxExtent = 1 << 16;
 
 /// Largest accepted routing-layer count: the paper's stacks have 3 and 6
 /// layers; the detail grid grows linearly with the count.
 constexpr int kMaxRoutingLayers = 16;
+
+/// Work bounds. The per-axis caps above still multiply out: 65 536 x 65 536
+/// tracks at tile size 1 is 4.3 G tiles and, on 16 layers, 68.7 G detail
+/// nodes, which a route cannot allocate. The largest generated design
+/// within the extent cap is Risc1@full_scale: 15 690 x 15 690 tracks on
+/// 6 layers, 523 x 523 tiles of 30 tracks and 1.48 G detail nodes. The
+/// bounds leave it 4x headroom in tiles and in nodes.
+constexpr std::int64_t kMaxTiles = 4 * (523LL * 523);
+constexpr std::int64_t kMaxDetailNodes = 4 * (15690LL * 15690 * 6);
 
 }  // namespace
 
@@ -90,6 +101,13 @@ std::optional<Design> read_design(std::istream& in) {
     return fail("'grid' extent above the supported maximum");
   if (layers > kMaxRoutingLayers)
     return fail("'grid' layer count above the supported maximum");
+  const auto tiles_along = [&](geom::Coord extent) {
+    return static_cast<std::int64_t>((extent + tile - 1) / tile);
+  };
+  if (tiles_along(width) * tiles_along(height) > kMaxTiles)
+    return fail("'grid' tile count above the supported maximum");
+  if (static_cast<std::int64_t>(width) * height * layers > kMaxDetailNodes)
+    return fail("'grid' detail node count above the supported maximum");
 
   if (!(in >> word)) return fail("missing stitch record");
   std::optional<grid::StitchPlan> plan;

@@ -74,6 +74,15 @@ const MetricSpec kSpecs[] = {
     {"sealed_fails", Direction::kExact, {}},
     {"escalations", Direction::kExact, {}},
     {"failed_subnets", Direction::kExact, {}},
+    // The paper-scale global row (bench/full_scale, DESIGN.md §15): kernel
+    // heap pops, pattern fast-path hits and the multilevel pass's coarse
+    // nets and corridor outcomes are pure functions of the instance, so a
+    // change either way means the global router changed.
+    {"global_pops", Direction::kExact, {}},
+    {"pattern_hits", Direction::kExact, {}},
+    {"coarse_nets", Direction::kExact, {}},
+    {"corridor_hits", Direction::kExact, {}},
+    {"corridor_fallbacks", Direction::kExact, {}},
 };
 
 const MetricSpec* find_spec(std::string_view name) {

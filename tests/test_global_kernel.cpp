@@ -348,7 +348,6 @@ TEST(GlobalRouterDeterminism, ResultBitIdenticalAcrossThreadCounts) {
   const auto subnets = netlist::decompose_all(circuit.netlist);
 
   global::GlobalRouterConfig config;
-  config.net_batch_size = 32;  // the pipeline's parallel batching default
 
   const auto route_with = [&](int threads) {
     exec::ThreadPool pool(threads);

@@ -94,7 +94,9 @@ TEST(NetlistIo, RejectsHostileCountsAndExtentsWithoutThrowing) {
         "mebl 1\ngrid 2000000000 10 2 1\nstitch 1 0 0\n",
         "mebl 1\ngrid 10 2000000000 2 1\nstitch 5 1 2\n",
         "mebl 1\ngrid 10 10 1000000 1\nstitch 5 1 2\n",
-        "mebl 1\ngrid 10 10 2 1\nstitch 5 1 -1\n"}) {
+        "mebl 1\ngrid 10 10 2 1\nstitch 5 1 -1\n",
+        // Every extent legal, but billions of tiles and detail nodes.
+        "mebl 1\ngrid 65536 65536 16 1\nstitch 15 1 2\nnet n 2 0 0 9 9\n"}) {
     std::stringstream buffer(text);
     std::optional<Design> design;
     EXPECT_NO_THROW(design = read_design(buffer)) << text;

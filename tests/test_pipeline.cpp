@@ -6,6 +6,7 @@
 #include <string>
 
 #include "bench_suite/circuit_generator.hpp"
+#include "report/report.hpp"
 #include "telemetry/keys.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -66,6 +67,24 @@ TEST(Pipeline, DeterministicAcrossRuns) {
   EXPECT_EQ(ra.metrics.wirelength, rb.metrics.wirelength);
   EXPECT_EQ(ra.metrics.vias, rb.metrics.vias);
   EXPECT_EQ(ra.metrics.routed_nets, rb.metrics.routed_nets);
+}
+
+/// The default configuration is the paper's stitch-aware router: a
+/// default-constructed RouterConfig routes exactly like stitch_aware(),
+/// canonical run report and all.
+TEST(Pipeline, DefaultConfigRoutesLikeStitchAware) {
+  const auto circuit = small_circuit();
+  const auto canonical_report = [&](const RouterConfig& config) {
+    StitchAwareRouter router(circuit.grid, circuit.netlist, config);
+    const auto result = router.run();
+    report::WriteOptions options;
+    options.include_timing = false;
+    return report::serialize(
+        report::build_run_report(result, circuit.grid, circuit.netlist),
+        options);
+  };
+  EXPECT_EQ(canonical_report(RouterConfig{}),
+            canonical_report(RouterConfig::stitch_aware()));
 }
 
 TEST(Pipeline, IlpTrackAssignmentWorksOnTinyCircuit) {

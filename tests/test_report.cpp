@@ -372,6 +372,24 @@ TEST(Diff, DetailRowCountsGateExactly) {
   }
 }
 
+TEST(Diff, GlobalRowCountsGateExactly) {
+  for (const char* metric : {"global_pops", "pattern_hits", "coarse_nets",
+                             "corridor_hits", "corridor_fallbacks"}) {
+    const auto doc = [&](std::int64_t value) {
+      Json d = bench_doc(10, 1000.0, 99.0, 5.0);
+      d["rows"].items()[0]["metrics"][metric] = value;
+      return d;
+    };
+    const Json base = doc(100);
+    EXPECT_EQ(report::diff_reports(base, doc(100)).exit_code(),
+              report::kDiffOk)
+        << metric;
+    // Fewer is a change too: the global router no longer does the same.
+    EXPECT_TRUE(report::diff_reports(base, doc(99)).regressed()) << metric;
+    EXPECT_TRUE(report::diff_reports(base, doc(101)).regressed()) << metric;
+  }
+}
+
 TEST(Diff, SecondsAreLooselyGated) {
   const Json base = bench_doc(10, 1000.0, 99.0, 5.0);
   // +40%: inside the max(2 s abs, 50% rel) slack.

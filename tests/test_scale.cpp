@@ -382,7 +382,6 @@ TEST_P(ScaleDeterminism, GlobalResultBitIdenticalAcrossThreads) {
 
   const auto route_with = [&](bool multilevel, int threads) {
     global::GlobalRouterConfig config;
-    config.net_batch_size = 32;
     config.multilevel = multilevel;
     exec::ThreadPool pool(threads);
     global::GlobalRouter router(circuit.grid, config);
@@ -532,7 +531,6 @@ TEST(Multilevel, PlansCoarseNetsAndEveryCorridorSearchResolves) {
   const auto subnets = netlist::decompose_all(circuit.netlist);
 
   global::GlobalRouterConfig config;
-  config.net_batch_size = 32;
   config.multilevel = true;
 
   const auto before = telemetry::snapshot_counters();

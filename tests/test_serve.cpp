@@ -932,7 +932,9 @@ TEST(ServeServer, HostileDesignLoadGetsErrorAndDaemonKeepsServing) {
 
   for (const char* text :
        {"mebl 1\ngrid 10 10 2 1\nstitch_lines 0 0 4611686018427387904\n",
-        "mebl 1\ngrid 2000000000 10 2 1\nstitch 1 0 0\n"}) {
+        "mebl 1\ngrid 2000000000 10 2 1\nstitch 1 0 0\n",
+        // Every extent legal, but billions of tiles and detail nodes.
+        "mebl 1\ngrid 65536 65536 16 1\nstitch 15 1 2\nnet n 2 0 0 9 9\n"}) {
     Request load = make_request(Op::kLoad, 0);
     load.design = "hostile";
     load.design_text = text;
